@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per module, CSV or JSON output.
 
 Exit codes: 0 success, 2 usage or config error, 3 domain error (such as a
-Pauli violation or Bose saturation), 4 non-convergence.  Domain errors
-print one machine-parsable line ``error: <code>: <message>`` on stderr.
+Pauli violation, Bose saturation or a projector past its size guard),
+4 non-convergence.  Domain errors print one machine-parsable line
+``error: <code>: <message>`` on stderr.  When the reader of stdout closes
+it early, ``main`` exits 141 (128 + SIGPIPE, as shells report a writer
+killed by a broken pipe) without a traceback.
 Output is deterministic for identical argv + config + seed; reals are
 written with 17 significant digits so they round-trip exactly.
 """
@@ -30,6 +33,8 @@ from .errors import (
 __all__ = ["Config", "load_config", "run", "main"]
 
 FMT = "%.17g"
+
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,10 @@ def _state_from_json(raw) -> symmetry.NParticleState:
         ]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed state description: {exc}") from exc
+    # The symmetry layer holds mode ids in int64 arrays.
+    bounds = np.iinfo(np.int64)
+    if any(not bounds.min <= m <= bounds.max for _, modes in terms for m in modes):
+        raise ParseError("mode ids must fit in a signed 64-bit integer")
     return symmetry._canonical(n, terms)
 
 
@@ -439,4 +448,13 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``idstat selftest | head``).  Point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

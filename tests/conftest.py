@@ -2,8 +2,14 @@
 package's quadrature/recursion code paths."""
 
 import numpy as np
+from hypothesis import settings
 
 from idstat import wavepacket as wp
+
+# Property tests draw the same examples on every run, and a loaded host
+# cannot fail them on time.
+settings.register_profile("idstat", derandomize=True, deadline=None)
+settings.load_profile("idstat")
 
 
 def gaussian_overlap_closed_form(p1: wp.WavePacket, p2: wp.WavePacket,

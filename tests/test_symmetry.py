@@ -1,9 +1,14 @@
+import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from idstat import cli
 from idstat import symmetry as sym
 from idstat import wavepacket as wp
 from idstat.errors import (
@@ -17,6 +22,7 @@ from idstat.errors import (
 from conftest import gaussian_overlap_closed_form
 
 RNG = np.random.default_rng(20100701)
+EPS = np.finfo(float).eps
 
 
 def random_unit_overlap(n_modes: int, rng=RNG) -> sym.MatrixOverlap:
@@ -42,6 +48,90 @@ def naive_permanent(m: np.ndarray) -> complex:
     for perm in itertools.permutations(range(n)):
         total += math.prod(m[i, perm[i]] for i in range(n))
     return total
+
+
+def exact_permanent(m) -> int:
+    """Ryser's formula with Gray-code updates in Python integers: exact."""
+    n = len(m)
+    sums = [0] * n
+    total = 0
+    gray = 0
+    for k in range(1, 1 << n):
+        new_gray = k ^ (k >> 1)
+        j = (gray ^ new_gray).bit_length() - 1
+        step = 1 if new_gray >> j & 1 else -1
+        for i in range(n):
+            sums[i] += step * m[i][j]
+        gray = new_gray
+        total += (-1) ** bin(gray).count("1") * math.prod(sums)
+    return (-1) ** n * total
+
+
+def ryser_mass(m: np.ndarray) -> float:
+    """sum over column subsets S of |prod_i sum_{j in S} M[i, j]|.
+
+    Each Ryser term is formed with about n roundings, so a floating-point
+    Ryser permanent is good to about n * eps * ryser_mass(M).
+    """
+    n = m.shape[0]
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return float(np.abs(np.prod(subsets @ m.T, axis=1)).sum())
+
+
+def reference_projector(s: sym.NParticleState, signed: bool) -> sym.NParticleState:
+    """(1/n!) sum_a (eps_a) P_a by a loop over itertools.permutations and a
+    dict merge of equal mode assignments, in expansion order."""
+    raw = []
+    for perm in itertools.permutations(range(s.n)):
+        sign = sym.permutation_parity(perm) if signed else 1
+        inv = tuple(np.argsort(perm))
+        for t in s.terms:
+            raw.append(
+                (sign * t.coeff, tuple(t.modes[inv[k]] for k in range(s.n))))
+    merged = {}
+    for c, modes in raw:
+        merged[modes] = merged.get(modes, 0j) + c / math.factorial(s.n)
+    return sym.NParticleState(s.n, tuple(
+        sym.ProductTerm(c, m) for m, c in sorted(merged.items())
+        if abs(c) > sym.COEFF_DROP_TOL))
+
+
+def reference_scalar_product(a, b, ov) -> tuple[complex, float]:
+    """<a, b> by a loop over term pairs, and the sum of |term| it adds up."""
+    total = 0j
+    mass = 0.0
+    for ta in a.terms:
+        for tb in b.terms:
+            prod = ta.coeff.conjugate() * tb.coeff
+            for ma, mb in zip(ta.modes, tb.modes):
+                prod *= ov(ma, mb)
+            total += prod
+            mass += abs(prod)
+    return total, mass
+
+
+coefficients = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                  allow_infinity=False)
+
+
+@st.composite
+def states(draw, n=None, n_modes=5):
+    """Multi-term states over a few modes, so that modes repeat."""
+    if n is None:
+        n = draw(st.integers(0, 5))
+    terms = draw(st.lists(
+        st.tuples(coefficients,
+                  st.lists(st.integers(0, n_modes - 1), min_size=n, max_size=n)),
+        max_size=4))
+    return sym._canonical(n, [(c, tuple(m)) for c, m in terms])
+
+
+@st.composite
+def overlaps(draw, n_modes=5):
+    if draw(st.booleans()):
+        return sym.KroneckerOverlap()
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_unit_overlap(n_modes, np.random.default_rng(seed))
 
 
 def naive_determinant(m: np.ndarray) -> complex:
@@ -171,6 +261,73 @@ def test_antisymmetrize_distinct_modes_not_zero():
     assert not sym.antisymmetrize(s).is_zero
 
 
+@given(states())
+def test_projectors_match_reference_loop(s):
+    # Same arithmetic in the same order: equal to the last bit and the
+    # sign of zero, hence the repr comparison.
+    assert repr(sym.symmetrize(s)) == repr(reference_projector(s, signed=False))
+    assert repr(sym.antisymmetrize(s)) == repr(reference_projector(s, signed=True))
+
+
+def test_projector_size_guard():
+    big = sym.product_state(range(12))
+    with pytest.raises(TooLarge):
+        sym.symmetrize(big)
+    with pytest.raises(TooLarge):
+        sym.antisymmetrize(big)
+    # 10 terms x 8! rows is past 9!; 72 terms x 7! is exactly 9! and runs
+    assert 10 * math.factorial(8) > sym.PROJECTOR_MAX_ROWS
+    with pytest.raises(TooLarge):
+        sym.symmetrize(random_state(8, 8, 10))
+    assert 72 * math.factorial(7) == sym.PROJECTOR_MAX_ROWS
+    perms = list(itertools.permutations(range(7)))[:72]
+    s = sym._canonical(7, [(1.0 + k, p) for k, p in enumerate(perms)])
+    assert len(s.terms) == 72
+    assert len(sym.symmetrize(s).terms) == math.factorial(7)
+
+
+def test_antisymmetrize_repeated_mode_skips_expansion():
+    # A repeated mode is dropped before the size guard is consulted.
+    assert sym.antisymmetrize(sym.product_state([0] * 2 + list(range(1, 11)))).is_zero
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_cli_symmetrize_matches_reference_bytes(tmp_path, signed):
+    terms = [((0.75, -0.5), [3, 1, 4, 1, 5, 9]),
+             ((-0.25, 0.0), [2, 6, 5, 3, 5, 8]),
+             ((1.0 / 3.0, 2.0 / 7.0), [0, 1, 2, 3, 4, 5]),
+             ((-0.125, 0.625), [5, 4, 3, 2, 1, 0])]
+    raw = {"schema": 1, "n": 6,
+           "terms": [{"coeff": list(c), "modes": m} for c, m in terms]}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(raw))
+    out = io.StringIO()
+    argv = ["symmetrize", "--input", str(path)] + (["--anti"] if signed else [])
+    assert cli.run(argv, out) == 0
+    expected = reference_projector(cli._state_from_json(raw), signed)
+    assert out.getvalue() == json.dumps(
+        cli._state_to_json(expected), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_symmetrize_rejects_mode_ids_past_int64(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"n": 2, "terms": [{"coeff": [1.0, 0.0], "modes": [0, 2**63]}]}))
+    assert cli.run(["symmetrize", "--input", str(path)], io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+
+
+def test_cli_symmetrize_size_guard_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"n": 12, "terms": [{"coeff": [1.0, 0.0], "modes": list(range(12))}]}))
+    for extra in ([], ["--anti"]):
+        out = io.StringIO()
+        assert cli.run(["symmetrize", "--input", str(path)] + extra, out) == 3
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err.startswith("error: TooLarge: ")
+
+
 # -- scalar products -----------------------------------------------------------
 
 
@@ -196,6 +353,29 @@ def test_permutation_unitarity():
             moved = sym.scalar_product(
                 sym.permute_labels(a, perm), sym.permute_labels(b, perm), ov)
             assert moved == pytest.approx(base, abs=1e-12)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(states(n), states(n))),
+       overlaps())
+def test_scalar_product_matches_reference_loop(pair, ov):
+    a, b = pair
+    want, mass = reference_scalar_product(a, b, ov)
+    assert abs(sym.scalar_product(a, b, ov) - want) <= 1e-12 * mass
+
+
+def test_scalar_product_calls_overlap_once_per_mode_pair():
+    calls = []
+    base = random_unit_overlap(4)
+
+    def ov(i, j):
+        calls.append((i, j))
+        return base(i, j)
+
+    a = sym.symmetrize(sym.product_state((0, 1, 2)))
+    b = sym.symmetrize(sym.product_state((1, 2, 3)))
+    want, mass = reference_scalar_product(a, b, base)
+    assert abs(sym.scalar_product(a, b, ov) - want) <= 1e-12 * mass
+    assert sorted(calls) == [(i, j) for i in (0, 1, 2) for j in (1, 2, 3)]
 
 
 def test_projector_moves_across_scalar_product():
@@ -311,6 +491,62 @@ def test_permanent_matches_naive_7x7():
     m = RNG.normal(size=(7, 7)) + 1j * RNG.normal(size=(7, 7))
     expected = naive_permanent(m)
     assert abs(sym.permanent(m) - expected) <= 1e-10 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [10, 14])
+def test_permanent_matches_exact_integer_ryser(n):
+    rng = np.random.default_rng(n)
+    for low in (-2, 0):
+        m = rng.integers(low, 3, size=(n, n))
+        exact = exact_permanent(m.tolist())
+        scale = exact_permanent(np.abs(m).tolist())
+        assert abs(sym.permanent(m) - exact) <= 4 * n * EPS * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 10, 11, 14, 17, 20])
+def test_permanent_of_ones_and_derangements(n):
+    # Ryser terms of J_n are k^n per k-subset, of J_n - I (k-1)^k k^(n-k),
+    # with alternating signs: their absolute sum bounds the roundoff.
+    mass_ones = sum(math.comb(n, k) * k**n for k in range(n + 1))
+    mass_der = sum(math.comb(n, k) * abs(k - 1)**k * k**(n - k)
+                   for k in range(n + 1))
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    ones = np.ones((n, n))
+    assert abs(sym.permanent(ones) - math.factorial(n)) <= n * EPS * mass_ones
+    assert abs(sym.permanent(ones - np.eye(n)) - d[n]) <= n * EPS * mass_der
+
+
+def test_permanent_block_triangular_factorizes():
+    rng = np.random.default_rng(12)
+    sizes = (3, 4, 5)
+    n = sum(sizes)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    edges = np.cumsum((0,) + sizes)
+    blocks = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m[hi:, lo:hi] = 0.0  # zero below each diagonal block
+        blocks.append(m[lo:hi, lo:hi])
+    expected = math.prod(naive_permanent(b) for b in blocks)
+    assert abs(sym.permanent(m) - expected) <= n * EPS * ryser_mass(m)
+
+
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_permanent_invariant_under_permutation_and_scaling(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    d1, d2 = (np.exp(rng.normal(0.0, 0.3, n) + 2j * np.pi * rng.random(n))
+              for _ in range(2))
+    moved = (d1[:, None] * m * d2[None, :])[rng.permutation(n)][:, rng.permutation(n)]
+    factor = np.prod(d1) * np.prod(d2)
+    tol = 2 * n * EPS * ryser_mass(np.abs(m)) * abs(factor)
+    assert abs(sym.permanent(moved) - factor * sym.permanent(m)) <= tol
+
+
+def test_permanent_sizes_zero_and_one():
+    assert sym.permanent(np.zeros((0, 0))) == 1.0
+    assert sym.permanent(np.array([[2.5 - 1j]])) == 2.5 - 1j
 
 
 def test_determinant_matches_naive():
