@@ -175,8 +175,8 @@ def _cmd_symmetrize(args, cfg: Config, out) -> int:
 def _cmd_exchange_phase(args, cfg: Config, out) -> int:
     m = args.spin
     f = spinstat.exchange_phase(m, args.chi_a, args.chi_b)
-    factor_ab = complex(np.exp(-1j * m * spinstat.ccw_distance(args.chi_a, args.chi_b)))
-    factor_ba = complex(np.exp(-1j * m * spinstat.ccw_distance(args.chi_b, args.chi_a)))
+    factor_ab = spinstat.rotation_phase(-m, args.chi_a, args.chi_b)
+    factor_ba = spinstat.rotation_phase(-m, args.chi_b, args.chi_a)
     payload = {
         "spin": args.spin,
         "F": [f.real, f.imag],
@@ -219,11 +219,9 @@ def _cmd_distribute(args, cfg: Config, out) -> int:
     eps = distributions.grid_energies(spec, grid)
     g = distributions.grid_mode_counts(spec, grid)
     mu = distributions.solve_mu(args.N, spec, grid)
-    if args.via == "closed":
-        occ = distributions.occupancy(eps, mu, spec, g_p=g)
-    else:
-        closed = distributions.occupancy(eps, mu, spec, g_p=g)
-        e_target = float((closed * eps).sum())
+    occ = distributions.occupancy(eps, mu, spec, g_p=g)
+    if args.via == "maxent":
+        e_target = float((occ * eps).sum())
         occ = distributions.max_entropy_occupancies(spec, grid, args.N, e_target).occupancies
     rows = [(float(p), float(e), float(gi), float(o))
             for p, e, gi, o in zip(ps, eps, g, occ)]

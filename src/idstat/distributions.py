@@ -8,12 +8,14 @@ with the relativistic dispersion eps = sqrt((p c)^2 + (m c^2)^2) and the
 momentum-shell mode count g_p = 4 pi V p^2 dp / h^3.
 
 Two independent numerical routes are provided on top of the closed form:
-a chemical-potential solver inverting the total-number sum, and a
-maximum-entropy solver that optimizes the continuous (Stirling) entropy
-of the exact quantum counts under particle-number and energy constraints
-via Newton iterations on the two Lagrange multipliers.  The stationarity
-condition of that optimization reproduces the closed form, so agreement
-of the two routes is a nontrivial consistency check.
+a chemical-potential solver inverting the total-number sum with
+``brentq``, and a maximum-entropy solver that optimizes the continuous
+(Stirling) entropy of the exact quantum counts under particle-number and
+energy constraints via Newton iterations on the two Lagrange
+multipliers.  Each bin's stationarity condition s'(n) = a + b*eps is
+inverted in closed form (it is the occupation formula at x = a + b*eps),
+so agreement of the two routes checks that the multipliers meeting
+(N, E) are b = 1/kT and a = -mu/kT.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def mode_count(p, dp: float, spec: GasSpec):
     return float(out) if out.ndim == 0 else out
 
 
+def _occupation(x, statistics: str):
+    """Mean occupation of one mode at x = (eps - mu)/kT."""
+    if statistics == "bose":
+        return 1.0 / np.expm1(x)
+    return 1.0 / (np.exp(np.minimum(x, 700.0)) + 1.0)
+
+
 def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
     """Mean occupation per mode, times g_p if a mode count is supplied.
 
@@ -121,13 +130,9 @@ def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
     :class:`BosePole`.
     """
     eps = np.asarray(eps, dtype=float)
-    x = (eps - mu) / spec.kT
-    if spec.statistics == "bose":
-        if np.any(eps <= mu):
-            raise BosePole(f"bose occupancy needs eps > mu, got eps <= {mu}")
-        out = 1.0 / np.expm1(x)
-    else:
-        out = 1.0 / (np.exp(np.minimum(x, 700.0)) + 1.0)
+    if spec.statistics == "bose" and np.any(eps <= mu):
+        raise BosePole(f"bose occupancy needs eps > mu, got eps <= {mu}")
+    out = _occupation((eps - mu) / spec.kT, spec.statistics)
     if g_p is not None:
         out = out * np.asarray(g_p, dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -143,10 +148,7 @@ def grid_mode_counts(spec: GasSpec, grid: MomentumGrid) -> np.ndarray:
 
 def _total_number(mu: float, eps: np.ndarray, g: np.ndarray, kT: float,
                   statistics: str) -> float:
-    x = (eps - mu) / kT
-    if statistics == "bose":
-        return float(np.sum(g / np.expm1(x)))
-    return float(np.sum(g / (np.exp(np.minimum(x, 700.0)) + 1.0)))
+    return float(np.sum(g * _occupation((eps - mu) / kT, statistics)))
 
 
 def saturation_count(spec: GasSpec, grid: MomentumGrid) -> float:
@@ -161,10 +163,11 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
                        statistics: str) -> float:
     """Chemical potential fixing sum_i g_i n(eps_i, mu) = n_target.
 
-    Bracketing bisection followed by a secant polish, to a relative
-    number error of 1e-10.  For bosons the bracket is capped just below
-    the lowest level; targets beyond the cap raise
-    :class:`SaturationExceeded`.
+    One ``brentq`` on a bracket built around the root, to a relative
+    number error of 1e-10.  For bosons the bracket is capped
+    just below the lowest level; targets beyond the cap raise
+    :class:`SaturationExceeded`.  Fermi targets at or above the total
+    mode count raise :class:`NoBracket`.
     """
     eps = np.asarray(eps, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -201,31 +204,13 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
     else:
         raise NoBracket("could not bracket mu from below")
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if count(mid) < n_target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(count(mid) - n_target) <= 1e-12 * n_target:
-            break
-    mu = 0.5 * (lo + hi)
-
-    # secant polish on log-count, which is near-linear in mu
-    f_lo, f_hi = count(lo) - n_target, count(hi) - n_target
-    if f_lo != f_hi:
-        candidate = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if statistics == "bose":
-            candidate = min(candidate, eps_min - BOSE_MU_MARGIN * kT)
-        if abs(count(candidate) - n_target) < abs(count(mu) - n_target):
-            mu = candidate
-    if abs(count(mu) - n_target) > 1e-10 * n_target:
-        raise NoConvergence(
-            f"mu solve stalled at relative error "
-            f"{abs(count(mu) - n_target) / n_target:.3e}"
-        )
+    # disp=False: a root not pinned within maxiter falls through to the
+    # NoConvergence check below instead of raising RuntimeError
+    mu = brentq(lambda m: count(m) - n_target, lo, hi,
+                xtol=1e-300, rtol=4 * np.finfo(float).eps, disp=False)
+    miss = abs(count(mu) - n_target) / n_target
+    if miss > 1e-10:
+        raise NoConvergence(f"mu solve stalled at relative error {miss:.3e}")
     return float(mu)
 
 
@@ -247,36 +232,18 @@ def solve_mu(n_target: float, spec: GasSpec, grid: MomentumGrid) -> float:
 # with b = 1/kT and a = -mu/kT.
 
 
-def _stationary_n(c: float, g: float, statistics: str) -> float:
-    """Solve s'(n) = c for one bin by bracketed root finding."""
-    if statistics == "fermi":
-        # s'(n) runs from +inf at n=0+ to -inf at n=g-
-        f = lambda n: math.log((g - n) / n) - c
-        lo, hi = g * 1e-15, g * (1.0 - 1e-15)
-    else:
-        if c <= 0:
-            raise Infeasible("bose multipliers must keep a + b*eps positive")
-        f = lambda n: math.log1p(g / n) - c
-        lo = g * 1e-18
-        hi = g
-        for _ in range(2000):
-            if f(hi) < 0:
-                break
-            hi *= 2.0
-        for _ in range(2000):
-            if f(lo) > 0:
-                break
-            lo *= 0.5
-    return brentq(f, lo, hi, xtol=1e-300, rtol=8.881784197001252e-16)
+def _stationary_n(c, g, statistics: str):
+    """Solve s'(n_i) = c_i for every bin: n_i = g_i times the occupation at c_i."""
+    if statistics == "bose" and np.any(c <= 0):
+        raise Infeasible("bose multipliers must keep a + b*eps positive")
+    return g * _occupation(c, statistics)
 
 
-def _d_stationary(n: float, g: float, statistics: str) -> float:
-    """1 / s''(n), the sensitivity of the bin solution to its multiplier."""
+def _d_stationary(n, g, statistics: str):
+    """1 / s''(n), the sensitivity of each bin's solution to its multiplier."""
     if statistics == "fermi":
-        s2 = -1.0 / n - 1.0 / (g - n)
-    else:
-        s2 = 1.0 / (n + g) - 1.0 / n
-    return 1.0 / s2
+        return -n * (g - n) / g
+    return -n * (n + g) / g
 
 
 class MaxEntResult(NamedTuple):
@@ -317,8 +284,9 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
                           max_iter: int = 200) -> MaxEntResult:
     """Maximize the Stirling entropy of the counts under (N, E) constraints.
 
-    Newton iterations on the two Lagrange multipliers (a, b); each inner
-    step solves the per-bin stationarity equation numerically.  Returns
+    Newton iterations on the two Lagrange multipliers (a, b); each step
+    inverts every bin's stationarity condition s'(n_i) = a + b*eps_i in
+    closed form and damps the step until the (N, E) residual falls.  Returns
     the occupancies together with the implied temperature and chemical
     potential.  Raises :class:`Infeasible` for unattainable (N, E) pairs
     and :class:`NoConvergence` past max_iter iterations.
@@ -359,12 +327,7 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
     if statistics == "bose" and a + b * eps_min <= 0:
         a = -b * eps_min + 1e-6
 
-    def solve_bins(a_, b_):
-        return np.array(
-            [_stationary_n(a_ + b_ * e, gi, statistics) for e, gi in zip(eps, g)]
-        )
-
-    n = solve_bins(a, b)
+    n = _stationary_n(a + b * eps, g, statistics)
     for iteration in range(1, max_iter + 1):
         f_n = float(n.sum()) - n_target
         f_e = float((n * eps).sum()) - e_target
@@ -375,7 +338,7 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
                 occupancies=n, temperature=temperature, mu=-a / b,
                 multiplier_number=a, multiplier_energy=b, iterations=iteration,
             )
-        dn = np.array([_d_stationary(ni, gi, statistics) for ni, gi in zip(n, g)])
+        dn = _d_stationary(n, g, statistics)
         j = np.array(
             [[float(dn.sum()), float((dn * eps).sum())],
              [float((dn * eps).sum()), float((dn * eps * eps).sum())]]
@@ -393,7 +356,7 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
                 statistics == "fermi" or a_try + b_try * eps_min > 0
             )
             if feasible:
-                n_try = solve_bins(a_try, b_try)
+                n_try = _stationary_n(a_try + b_try * eps, g, statistics)
                 r_try = (abs(float(n_try.sum()) - n_target) / n_target
                          + abs(float((n_try * eps).sum()) - e_target)
                          / max(abs(e_target), 1e-300))

@@ -90,9 +90,7 @@ def exchange_phase(m: float, chi_a: float, chi_b: float) -> complex:
     """
     if (chi_a % TWO_PI) == (chi_b % TWO_PI):
         raise DegenerateAngles(f"chi_a = chi_b = {chi_a % TWO_PI}; angles must differ")
-    factor_ab = cmath.exp(-1j * m * ccw_distance(chi_a, chi_b))
-    factor_ba = cmath.exp(-1j * m * ccw_distance(chi_b, chi_a))
-    return factor_ab * factor_ba
+    return rotation_phase(-m, chi_a, chi_b) * rotation_phase(-m, chi_b, chi_a)
 
 
 def exchanged_pair_state(a: SpinorMode, b: SpinorMode,
@@ -109,25 +107,11 @@ def exchanged_pair_state(a: SpinorMode, b: SpinorMode,
         raise SpinMismatch(
             f"pair construction needs equal (s, m); got ({a.s}, {a.m}) and ({b.s}, {b.m})"
         )
-    swapped_in_a = SpinorMode(a.s, a.m, a.chi, b.u)
-    swapped_in_b = SpinorMode(b.s, b.m, b.chi, a.u)
-    # restoring each swapped mode to its payload's angle costs the inverse
-    # rotation phase; the two inverses multiply out to F
     f = exchange_phase(a.m, a.chi, b.chi)
-    restored_first = SpinorMode(a.s, a.m, b.chi, swapped_in_a.u)   # == b
-    restored_second = SpinorMode(b.s, b.m, a.chi, swapped_in_b.u)  # == a
     id_a = registry.register(a)
     id_b = registry.register(b)
-    id_first = registry.register(restored_first)
-    id_second = registry.register(restored_second)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return _canonical(
-        2,
-        [
-            (inv_sqrt2, (id_a, id_b)),
-            (inv_sqrt2 * f, (id_first, id_second)),
-        ],
-    )
+    return _canonical(2, [(inv_sqrt2, (id_a, id_b)), (inv_sqrt2 * f, (id_b, id_a))])
 
 
 class SpinorOverlap:

@@ -196,3 +196,46 @@ def test_spec_validation():
         dist.MomentumGrid(2.0, 1.0, 32)
     with pytest.raises(ValueError):
         dist.MomentumGrid(0.0, 1.0, 4)
+
+
+def _gas_levels(statistics, temperature, pmax, bins, volume=200.0):
+    spec = dist.GasSpec(volume=volume, temperature=temperature, mass=1.0,
+                        statistics=statistics)
+    grid = dist.MomentumGrid(0.0, pmax, bins)
+    return spec, grid, dist.grid_energies(spec, grid), dist.grid_mode_counts(spec, grid)
+
+
+@pytest.mark.parametrize("temperature,pmax", [(0.5, 24.0), (0.25, 12.0)])
+def test_max_entropy_fermi_far_tail(temperature, pmax):
+    # a + b*eps reaches 45-90 on the top bins, where the occupation is
+    # below g*1e-15; a per-bin bracket clamped at g*1e-15 cannot hold it
+    spec, grid, eps, g = _gas_levels("fermi", temperature, pmax, 64)
+    mu = float(eps.min()) + 0.5
+    assert (float(eps.max()) - mu) / temperature > 40.0
+    closed = dist.occupancy(eps, mu, spec, g_p=g)
+    result = dist.max_entropy_occupancies(
+        spec, grid, float(closed.sum()), float((closed * eps).sum()))
+    assert np.max(np.abs(result.occupancies - closed)) <= 1e-12 * closed.max()
+
+
+def _own_occupancies(eps, g, mu, temperature, statistics):
+    sign = -1.0 if statistics == "bose" else 1.0
+    return np.array([gi / (math.exp((e - mu) / temperature) + sign)
+                     for e, gi in zip(eps, g)])
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_max_entropy_meets_stationarity_and_constraints(statistics):
+    # independent of `occupancy`: the targets come from the test's own
+    # formula, and the answer is checked against s'(n) and (N, E) alone
+    _, _, eps, g = _gas_levels(statistics, 1.0, 4.0, 64, volume=500.0)
+    mu = float(eps.min()) + (1.5 if statistics == "fermi" else -0.5)
+    target = _own_occupancies(eps, g, mu, 1.0, statistics)
+    n_t, e_t = math.fsum(target), math.fsum(target * eps)
+    result = dist.max_entropy_on_levels(eps, g, n_t, e_t, statistics)
+    a, b = result.multiplier_number, result.multiplier_energy
+    for n, gi, e in zip(result.occupancies, g, eps):
+        prime = math.log1p(gi / n) if statistics == "bose" else math.log((gi - n) / n)
+        assert prime == pytest.approx(a + b * e, rel=1e-12, abs=1e-12)
+    assert math.fsum(result.occupancies) == pytest.approx(n_t, rel=1e-12)
+    assert math.fsum(result.occupancies * eps) == pytest.approx(e_t, rel=1e-12)
