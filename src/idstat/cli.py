@@ -132,16 +132,14 @@ def _state_from_json(raw) -> symmetry.NParticleState:
             (complex(t["coeff"][0], t["coeff"][1]), tuple(int(m) for m in t["modes"]))
             for t in raw["terms"]
         ]
+        # Mode ids past int64 and non-finite coefficients are ValueErrors.
+        return symmetry._canonical(n, terms)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"malformed state description: {exc}") from exc
-    # The symmetry layer holds mode ids in int64 arrays.
-    bounds = np.iinfo(np.int64)
-    if any(not bounds.min <= m <= bounds.max for _, modes in terms for m in modes):
-        raise ParseError("mode ids must fit in a signed 64-bit integer")
-    return symmetry._canonical(n, terms)
 
 
 def _state_to_json(state: symmetry.NParticleState) -> dict:
+    """The JSON object of a state, as ``_state_text`` prints it."""
     return {
         "schema": _STATE_SCHEMA,
         "n": state.n,
@@ -150,6 +148,28 @@ def _state_to_json(state: symmetry.NParticleState) -> dict:
             for t in state.terms
         ],
     }
+
+
+def _state_text(state: symmetry.NParticleState) -> str:
+    """``json.dumps(_state_to_json(state), indent=2, sort_keys=True)``,
+    filled in from the state's arrays through one format template.
+
+    Coefficient parts go through float.__repr__ as json writes finite
+    floats; a state's coefficients are finite.
+    """
+    count, n = state.modes.shape
+    head = f'{{\n  "n": {state.n},\n  "schema": {_STATE_SCHEMA},\n  "terms": ['
+    if not count:
+        return head + "]\n}"
+    modes = ("[\n" + ",\n".join(["        %d"] * n) + "\n      ]") if n else "[]"
+    term = ('    {\n      "coeff": [\n        %r,\n        %r\n      ],\n'
+            f'      "modes": {modes}\n    }}')
+    values = np.empty((count, n + 2), dtype=object)
+    values[:, 0] = state.coeffs.real.tolist()
+    values[:, 1] = state.coeffs.imag.tolist()
+    values[:, 2:] = state.modes.tolist()
+    body = ",\n".join([term] * count) % tuple(values.ravel().tolist())
+    return f"{head}\n{body}\n  ]\n}}"
 
 
 def _cmd_symmetrize(args, cfg: Config, out) -> int:
@@ -168,7 +188,7 @@ def _cmd_symmetrize(args, cfg: Config, out) -> int:
     state = _state_from_json(raw)
     projected = (symmetry.antisymmetrize(state) if args.anti
                  else symmetry.symmetrize(state))
-    print(json.dumps(_state_to_json(projected), indent=2, sort_keys=True), file=out)
+    print(_state_text(projected), file=out)
     return 0
 
 

@@ -119,7 +119,10 @@ def mode_count(p, dp: float, spec: GasSpec):
 def _occupation(x, statistics: str):
     """Mean occupation of one mode at x = (eps - mu)/kT."""
     if statistics == "bose":
-        return 1.0 / np.expm1(x)
+        # expm1 overflows to inf past x ~ 709, where 1/inf = 0 is the
+        # right occupation; only the warning is silenced.
+        with np.errstate(over="ignore"):
+            return 1.0 / np.expm1(x)
     return 1.0 / (np.exp(np.minimum(x, 700.0)) + 1.0)
 
 

@@ -2,6 +2,8 @@ import io
 import itertools
 import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +328,164 @@ def test_cli_symmetrize_size_guard_exits_3(tmp_path, capsys):
         assert cli.run(["symmetrize", "--input", str(path)] + extra, out) == 3
         assert out.getvalue() == ""
         assert capsys.readouterr().err.startswith("error: TooLarge: ")
+
+
+# -- array-backed states -------------------------------------------------------
+
+
+def reference_canonical(n: int, raw) -> sym.NParticleState:
+    """Canonical form by a dict merge from 0j in input order, terms sorted
+    by mode tuple and built one ProductTerm at a time."""
+    merged = {}
+    for c, modes in raw:
+        merged[modes] = merged.get(modes, 0j) + c
+    return sym.NParticleState(n, tuple(
+        sym.ProductTerm(c, m) for m, c in sorted(merged.items())
+        if abs(c) > sym.COEFF_DROP_TOL))
+
+
+def reference_add(a, b):
+    return reference_canonical(a.n, [(t.coeff, t.modes) for t in a.terms + b.terms])
+
+
+def reference_scale(s, c):
+    return reference_canonical(s.n, [(t.coeff * c, t.modes) for t in s.terms])
+
+
+def reference_permute_labels(s, perm):
+    inv = [0] * s.n
+    for j, pj in enumerate(perm):
+        inv[pj] = j
+    return reference_canonical(
+        s.n, [(t.coeff, tuple(t.modes[inv[k]] for k in range(s.n))) for t in s.terms])
+
+
+def reference_permute_parameters(s, perm):
+    return reference_canonical(
+        s.n, [(t.coeff, tuple(t.modes[perm[k]] for k in range(s.n))) for t in s.terms])
+
+
+def reference_states_close(a, b, tol):
+    if a.n != b.n:
+        return False
+    ca = {t.modes: t.coeff for t in a.terms}
+    cb = {t.modes: t.coeff for t in b.terms}
+    return all(abs(ca.get(k, 0j) - cb.get(k, 0j)) <= tol for k in set(ca) | set(cb))
+
+
+def assert_canonical_arrays(s: sym.NParticleState):
+    assert s.modes.dtype == np.int64 and s.modes.shape == (len(s.coeffs), s.n)
+    assert s.coeffs.dtype == complex
+    assert not s.modes.flags.writeable and not s.coeffs.flags.writeable
+    assert np.all(np.abs(s.coeffs) > sym.COEFF_DROP_TOL)
+    assert np.all(np.isfinite(s.coeffs))
+    rows = [tuple(r) for r in s.modes.tolist()]
+    assert all(r1 < r2 for r1, r2 in zip(rows, rows[1:]))  # sorted, distinct
+    assert [t.modes for t in s.terms] == rows
+    assert [t.coeff for t in s.terms] == s.coeffs.tolist()
+
+
+@st.composite
+def state_algebra(draw):
+    n = draw(st.integers(0, 4))
+    perm = draw(st.permutations(range(n)))
+    return draw(states(n)), draw(states(n)), draw(coefficients), tuple(perm)
+
+
+@given(state_algebra())
+def test_state_operations_match_reference_dict_merge(case):
+    # Same arithmetic in the same order as the tuple/dict form: equal to
+    # the last bit and the sign of zero, hence the repr comparisons.
+    a, b, c, perm = case
+    pairs = [
+        (sym.add(a, b), reference_add(a, b)),
+        (sym.scale(a, c), reference_scale(a, c)),
+        (sym.permute_labels(a, perm), reference_permute_labels(a, perm)),
+        (sym.permute_parameters(a, perm), reference_permute_parameters(a, perm)),
+        (sym.symmetrize(a), reference_projector(a, signed=False)),
+        (sym.antisymmetrize(b), reference_projector(b, signed=True)),
+    ]
+    for got, want in pairs:
+        assert repr(got) == repr(want)
+        assert got == want and hash(got) == hash(want)
+        assert_canonical_arrays(got)
+    for tol in (1e-12, 0.5):
+        assert sym.states_close(a, b, tol) == reference_states_close(a, b, tol)
+
+
+@given(states())
+def test_state_record_behaviour(s):
+    assert_canonical_arrays(s)
+    assert s.terms is s.terms  # built once, then cached
+    rebuilt = sym.NParticleState(s.n, s.terms)
+    assert rebuilt == s and hash(rebuilt) == hash(s) == hash((s.n, s.terms))
+    assert repr(rebuilt) == repr(s)
+    assert pickle.loads(pickle.dumps(s)) == s
+    assert s.is_zero == (len(s.terms) == 0)
+    with pytest.raises(AttributeError):
+        s.n = 3
+    with pytest.raises(ValueError):
+        s.coeffs[...] = 0
+
+
+def test_constructor_keeps_terms_as_given():
+    terms = (sym.ProductTerm(2.0, (1, 0)), sym.ProductTerm(-0.0, (0, 1)))
+    s = sym.NParticleState(2, terms)
+    assert s.terms == terms
+    assert s.modes.tolist() == [[1, 0], [0, 1]]
+    assert repr(s) == f"NParticleState(n=2, terms={terms!r})"
+    assert s != sym.NParticleState(2, terms[::-1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sym._canonical(1, [(complex("inf"), (0,))]),
+    lambda: sym._canonical(1, [(complex("nan"), (0,))]),
+    lambda: sym.product_state((0, 1), float("nan")),
+    lambda: sym.scale(sym.product_state((0,), 1e300), 1e300),
+    lambda: sym.scale(sym.product_state((0,)), float("inf")),
+    lambda: sym.add(sym.product_state((0,), 1.7e308), sym.product_state((0,), 1.7e308)),
+    lambda: sym.NParticleState(1, (sym.ProductTerm(float("inf"), (0,)),)),
+])
+def test_non_finite_coefficients_raise(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sym.NParticleState(2, (sym.ProductTerm(1.0, (0,)),)),
+    lambda: sym._canonical(2, [(1.0, (0, 1)), (1.0, (0,))]),
+    lambda: sym.add(sym.product_state((0,)), sym.product_state((0, 1))),
+])
+def test_term_length_mismatch_raises(make):
+    with pytest.raises(SizeMismatch):
+        make()
+
+
+@pytest.mark.parametrize("mode", [2**63, -2**63 - 1])
+def test_mode_ids_past_int64_are_rejected(mode):
+    for make in (lambda: sym.product_state((0, mode)),
+                 lambda: sym._canonical(2, [(1.0, (mode, 0))]),
+                 lambda: sym.NParticleState(2, (sym.ProductTerm(1.0, (0, mode)),))):
+        with pytest.raises(ValueError, match="64-bit"):
+            make()
+    edge = sym.product_state((2**63 - 1, -2**63))
+    assert edge.terms[0].modes == (2**63 - 1, -2**63)
+
+
+def test_projector_size_guard_allocates_nothing():
+    perms = itertools.islice(itertools.permutations(range(8)), 10)
+    s = sym._canonical(8, [(1.0 + k, p) for k, p in enumerate(perms)])
+    tracemalloc.start()
+    try:
+        for project in (sym.symmetrize, sym.antisymmetrize):
+            with pytest.raises(TooLarge):
+                project(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10 terms x 8! rows of 8 int64 ids would take 26 MB
+    assert peak < 1 << 20
+
 
 
 # -- scalar products -----------------------------------------------------------
