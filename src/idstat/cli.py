@@ -7,12 +7,15 @@ Pauli violation, Bose saturation or a projector past its size guard),
 it early, ``main`` exits 141 (128 + SIGPIPE, as shells report a writer
 killed by a broken pipe) without a traceback.
 Output is deterministic for identical argv + config + seed; reals are
-written with 17 significant digits so they round-trip exactly.
+written with 17 significant digits so they round-trip exactly.  Each
+table is formatted from its column arrays through one row template and
+written in one piece.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -80,20 +83,21 @@ def load_config(path: str) -> Config:
     return Config(**merged)
 
 
-def _fnum(x: float) -> str:
-    return FMT % x
+def _emit_table(out, header, columns, fmt: str, name: str):
+    """Write equal-length 1-D column arrays as one table in one write.
 
-
-def _csv_row(values) -> str:
-    return ",".join(_fnum(v) if isinstance(v, float) else str(v) for v in values)
-
-
-def _emit_table(out, header, rows, fmt: str, name: str):
+    CSV rows come from one template, ``%d`` for integer columns and
+    ``FMT`` for the rest, applied once to the row-major values.
+    """
     if fmt == "csv":
-        print(",".join(header), file=out)
-        for row in rows:
-            print(_csv_row(row), file=out)
+        row = ",".join("%d" if c.dtype.kind in "iu" else FMT for c in columns)
+        values = [None] * (len(columns) * len(columns[0]))
+        for k, c in enumerate(columns):
+            values[k::len(columns)] = c.tolist()
+        out.write(",".join(header) + "\n"
+                  + ((row + "\n") * len(columns[0])) % tuple(values))
     else:
+        rows = zip(*(c.tolist() for c in columns))
         print(json.dumps({name: [dict(zip(header, r)) for r in rows]},
                          indent=2, sort_keys=True), file=out)
 
@@ -109,14 +113,10 @@ def _cmd_evolve(args, cfg: Config, out) -> int:
     grid = wavepacket.Grid(args.xmin, args.xmax, args.points)
     times = np.linspace(args.t_start, args.t_stop, args.t_samples)
     xs = grid.points()
-    rows = []
-    for t in times:
-        psi = wavepacket.evaluate(packet, xs, float(t))
-        rho = np.abs(psi) ** 2
-        for x, value, d in zip(xs, psi, rho):
-            rows.append((float(t), float(x), float(value.real),
-                         float(value.imag), float(d)))
-    _emit_table(out, ["t", "x", "re", "im", "density"], rows, args.format, "evolve")
+    psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    columns = [np.repeat(times, xs.size), np.tile(xs, times.size),
+               psi.real, psi.imag, np.abs(psi) ** 2]
+    _emit_table(out, ["t", "x", "re", "im", "density"], columns, args.format, "evolve")
     return 0
 
 
@@ -138,20 +138,9 @@ def _state_from_json(raw) -> symmetry.NParticleState:
         raise ParseError(f"malformed state description: {exc}") from exc
 
 
-def _state_to_json(state: symmetry.NParticleState) -> dict:
-    """The JSON object of a state, as ``_state_text`` prints it."""
-    return {
-        "schema": _STATE_SCHEMA,
-        "n": state.n,
-        "terms": [
-            {"coeff": [t.coeff.real, t.coeff.imag], "modes": list(t.modes)}
-            for t in state.terms
-        ],
-    }
-
-
 def _state_text(state: symmetry.NParticleState) -> str:
-    """``json.dumps(_state_to_json(state), indent=2, sort_keys=True)``,
+    """The state as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+    the object ``{"schema", "n", "terms": [{"coeff": [re, im], "modes"}]}``,
     filled in from the state's arrays through one format template.
 
     Coefficient parts go through float.__repr__ as json writes finite
@@ -219,7 +208,7 @@ def _cmd_count(args, cfg: Config, out) -> int:
     lines = {"count": str(value)}
     if args.entropy:
         rs = counting.RegionSet((region,), k=cfg.k_boltzmann)
-        lines["entropy"] = _fnum(counting.entropy(rs, args.stat))
+        lines["entropy"] = FMT % counting.entropy(rs, args.stat)
     if args.format == "json":
         print(json.dumps(lines, indent=2, sort_keys=True), file=out)
     else:
@@ -243,9 +232,8 @@ def _cmd_distribute(args, cfg: Config, out) -> int:
     if args.via == "maxent":
         e_target = float((occ * eps).sum())
         occ = distributions.max_entropy_occupancies(spec, grid, args.N, e_target).occupancies
-    rows = [(float(p), float(e), float(gi), float(o))
-            for p, e, gi, o in zip(ps, eps, g, occ)]
-    _emit_table(out, ["p", "eps", "g_p", "occupancy"], rows, args.format, "distribute")
+    _emit_table(out, ["p", "eps", "g_p", "occupancy"], [ps, eps, g, occ],
+                args.format, "distribute")
     return 0
 
 
@@ -267,20 +255,17 @@ def _cmd_balance(args, cfg: Config, out) -> int:
         result = exc.result
         code = 4
         print(f"error: NonConvergence: {exc}", file=sys.stderr)
-    sweep_rows = [
-        (i + 1, float(r), float(s), float(q))
-        for i, (r, s, q) in enumerate(
-            zip(result.max_residuals, result.entropies, result.quanta))
-    ]
+    sweeps = np.arange(1, len(result.max_residuals) + 1)
     _emit_table(out, ["sweep", "max_residual", "entropy", "total_quanta"],
-                sweep_rows, args.format, "sweeps")
+                [sweeps, np.array(result.max_residuals), np.array(result.entropies),
+                 np.array(result.quanta)], args.format, "sweeps")
     if args.format == "csv":
         print("", file=out)
-    final_rows = []
-    for j, e in enumerate(result.pop1.energies):
-        for s in range(result.pop1.s_max + 1):
-            final_rows.append((float(e), s, float(result.pop1.table[s, j])))
-    _emit_table(out, ["eps", "s", "p"], final_rows, args.format, "population")
+    pop = result.pop1
+    _emit_table(out, ["eps", "s", "p"],
+                [np.repeat(pop.energies, pop.s_max + 1),
+                 np.tile(np.arange(pop.s_max + 1), pop.n_bins), pop.table.T.ravel()],
+                args.format, "population")
     return code
 
 
@@ -304,13 +289,11 @@ def _cmd_selftest(args, cfg: Config, out) -> int:
         for n, g in region_pairs if n <= g))
 
     rng = np.random.default_rng(cfg.seed)
+    perms = np.array(list(itertools.permutations(range(5))))
     ok_perm = True
     for _ in range(5):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        naive = sum(
-            np.prod([m[i, pi] for i, pi in enumerate(perm)])
-            for perm in itertools.permutations(range(5))
-        )
+        naive = m[np.arange(5), perms].prod(axis=1).sum()
         ok_perm &= abs(symmetry.permanent(m) - naive) <= 1e-10 * max(1.0, abs(naive))
     check("ryser permanent matches naive sum", ok_perm)
 
@@ -346,7 +329,9 @@ def _cmd_selftest(args, cfg: Config, out) -> int:
 # -- driver ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing never changes it)."""
     parser = argparse.ArgumentParser(
         prog="idstat",
         description="Identical-particle statistics toolbox",

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BosePole,
@@ -207,6 +206,8 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
     else:
         raise NoBracket("could not bracket mu from below")
 
+    from scipy.optimize import brentq  # scipy loads only where it is used
+
     # disp=False: a root not pinned within maxiter falls through to the
     # NoConvergence check below instead of raising RuntimeError
     mu = brentq(lambda m: count(m) - n_target, lo, hi,
@@ -276,6 +277,8 @@ def _boltzmann_multipliers(eps: np.ndarray, g: np.ndarray, n_target: float,
     if h(lo) <= 0 or h(hi) >= 0:
         b = 1.0
     else:
+        from scipy.optimize import brentq
+
         b = brentq(h, lo, hi, rtol=1e-12)
     shifted = -b * (eps - eps.min())
     a = math.log(float(np.sum(g * np.exp(shifted)))) - math.log(n_target) - b * eps.min()

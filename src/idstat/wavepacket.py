@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import GridTooNarrow
 
@@ -153,6 +152,8 @@ def density(p: WavePacket, x, t: float):
 
 def norm(p: WavePacket, t: float, g: Grid) -> float:
     """Quadrature of |psi|^2 over the grid (should be 1 for a wide grid)."""
+    from scipy.integrate import simpson  # scipy loads only where it is used
+
     xs = g.points()
     return float(simpson(density(p, xs, t), x=xs))
 
@@ -175,6 +176,8 @@ def overlap(p1: WavePacket, p2: WavePacket, t: float, g: Grid) -> complex:
     either packet raises :class:`GridTooNarrow`.  Conjugate symmetry
     overlap(a, b) == conj(overlap(b, a)) holds by construction.
     """
+    from scipy.integrate import simpson
+
     _check_boundaries(g, t, p1, p2)
     xs = g.points()
     integrand = np.conj(evaluate(p1, xs, t)) * evaluate(p2, xs, t)

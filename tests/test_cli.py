@@ -1,9 +1,11 @@
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,35 @@ from hypothesis import strategies as st
 from idstat import cli, distributions, symmetry, wavepacket
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _state_to_json(state: symmetry.NParticleState) -> dict:
+    """The JSON object of a state, built term by term from ``state.terms``:
+    the oracle for ``cli._state_text``."""
+    return {
+        "schema": 1,
+        "n": state.n,
+        "terms": [
+            {"coeff": [t.coeff.real, t.coeff.imag], "modes": list(t.modes)}
+            for t in state.terms
+        ],
+    }
+
+
+def _csv_row(values) -> str:
+    return ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in values)
+
+
+def reference_table(out, header, rows, fmt: str, name: str):
+    """The table writer as a row loop: one formatted line and one print
+    per row, from rows of Python floats and ints."""
+    if fmt == "csv":
+        print(",".join(header), file=out)
+        for row in rows:
+            print(_csv_row(row), file=out)
+    else:
+        print(json.dumps({name: [dict(zip(header, r)) for r in rows]},
+                         indent=2, sort_keys=True), file=out)
 
 
 @pytest.mark.parametrize("argv", [["selftest"], ["evolve", "--points", "4096"]])
@@ -250,7 +281,7 @@ def test_cli_symmetrize_prints_json_dumps_bytes(tmp_path_factory, raw):
         projected = (symmetry.antisymmetrize(state) if signed
                      else symmetry.symmetrize(state))
         assert out.getvalue() == json.dumps(
-            cli._state_to_json(projected), indent=2, sort_keys=True) + "\n"
+            _state_to_json(projected), indent=2, sort_keys=True) + "\n"
 
 
 @given(cli_states())
@@ -262,4 +293,160 @@ def test_state_text_keeps_negative_zero(raw):
     state = symmetry.NParticleState(raw["n"], tuple(
         symmetry.ProductTerm(complex(*t["coeff"]), t["modes"]) for t in raw["terms"]))
     assert cli._state_text(state) == json.dumps(
-        cli._state_to_json(state), indent=2, sort_keys=True)
+        _state_to_json(state), indent=2, sort_keys=True)
+
+
+table_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300,
+                     1e300, 5e-324, 0.1]),
+    st.floats(allow_nan=True, allow_infinity=True))
+table_ints = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=5))
+    count = draw(st.integers(0, 6))
+    columns = [np.array(draw(st.lists(table_ints if kind == "i" else table_floats,
+                                      min_size=count, max_size=count)),
+                        dtype=np.int64 if kind == "i" else float)
+               for kind in kinds]
+    return [f"c{k}" for k in range(len(kinds))], columns
+
+
+@given(tables())
+@example((["t", "s", "p"], [np.array([-0.0, math.nan, math.inf]),
+                            np.array([0, -3, 2**62]),
+                            np.array([1e-300, 1e300, -math.inf])]))
+@example((["a", "b"], [np.array([], dtype=float), np.array([], dtype=np.int64)]))
+def test_emit_table_writes_reference_bytes(table):
+    header, columns = table
+    rows = [tuple(int(c[i]) if c.dtype.kind == "i" else float(c[i]) for c in columns)
+            for i in range(len(columns[0]))]
+    for fmt in ("csv", "json"):
+        got, want = io.StringIO(), io.StringIO()
+        cli._emit_table(got, header, columns, fmt, "table")
+        reference_table(want, header, rows, fmt, "table")
+        assert got.getvalue() == want.getvalue()
+
+
+def test_cached_parser_keeps_no_values_between_runs():
+    assert cli.build_parser() is cli.build_parser()
+    assert _run(["evolve", "--points", "16"])[0] == 0
+    code, text = _run(["evolve"])
+    assert code == 0
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert rows.shape == (5 * 256, 5)
+    assert np.unique(rows[:, 1]).size == 256
+
+
+@functools.cache
+def _default_balance(seed):
+    return _run(["--seed", str(seed), "balance"])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_balance_defaults_converge(seed):
+    code, text = _default_balance(seed)
+    assert code == 0
+    sweeps = np.loadtxt(text.split("\n\n")[0].splitlines()[1:], delimiter=",")
+    assert sweeps[-1, 1] <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_balance_entropy_never_falls_past_roundoff(seed):
+    # the bound the balance module docstring states: no sweep lowers the
+    # packet entropy by more than 16 eps |S|
+    _, text = _default_balance(seed)
+    entropy = np.loadtxt(text.split("\n\n")[0].splitlines()[1:], delimiter=",")[:, 2]
+    bound = 16 * np.finfo(float).eps * np.abs(entropy[1:])
+    assert np.all(np.diff(entropy) >= -bound)
+
+
+def _json_documents(text):
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while text[at:].strip():
+        doc, end = decoder.raw_decode(text, at)
+        docs.append(doc)
+        at = end + 1
+    return docs
+
+
+def _csv_tables(text):
+    return [np.loadtxt(block.splitlines()[1:], delimiter=",", ndmin=2)
+            for block in text.split("\n\n")]
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["evolve", "--points", "32", "--k0", "0.4"], ["evolve"]),
+    (_distribute_argv("bose", 300.0, "maxent"), ["distribute"]),
+    (_distribute_argv("fermi", 900.0), ["distribute"]),
+    (["balance", "--steps", "2"], ["sweeps", "population"]),
+])
+def test_json_tables_equal_csv_tables(argv, names, capsys):
+    csv_code, csv_text = _run(argv)
+    json_code, json_text = _run(["--format", "json", *argv])
+    assert json_code == csv_code
+    csv_header = [block.splitlines()[0].split(",") for block in csv_text.split("\n\n")]
+    docs = _json_documents(json_text)
+    assert [list(doc) for doc in docs] == [[name] for name in names]
+    for doc, name, header, table in zip(docs, names, csv_header, _csv_tables(csv_text)):
+        rows = doc[name]
+        assert [sorted(row) for row in rows] == [sorted(header)] * len(rows)
+        assert np.array_equal(np.array([[row[h] for h in header] for row in rows]),
+                              table)
+
+
+def test_count_json_equals_csv():
+    argv = ["count", "--n", "4", "--g", "6", "--stat", "fermi", "--entropy"]
+    code, csv_text = _run(argv)
+    json_code, json_text = _run(["--format", "json", *argv])
+    assert code == json_code == 0
+    count, entropy = csv_text.splitlines()
+    assert json.loads(json_text) == {"count": count, "entropy": entropy}
+    assert int(count) == 15
+    assert float(entropy) == math.log(15)
+
+
+def test_exchange_phase_json_equals_csv():
+    argv = ["exchange-phase", "--spin", "1.5", "--chi-a", "0.2", "--chi-b", "1.9"]
+    csv_run, json_run = _run(argv), _run(["--format", "json", *argv])
+    assert csv_run[0] == json_run[0] == 0
+    assert json.loads(json_run[1]) == json.loads(csv_run[1])
+
+
+def test_selftest_failing_check_exits_1(monkeypatch):
+    code, text = _run(["selftest"])
+    assert code == 0
+    assert all(line.startswith("ok ") for line in text.splitlines())
+    monkeypatch.setattr(cli.spinstat, "exchange_phase", lambda *args: 2.0)
+    code, text = _run(["selftest"])
+    assert code == 1
+    lines = text.splitlines()
+    assert "FAIL exchange phase is (-1)^(2s)" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 1
+
+
+def test_cli_without_scipy(tmp_path):
+    # count, symmetrize and exchange-phase need no scipy, so the CLI
+    # starts without loading it
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"schema": 1, "n": 2, "terms": [
+        {"coeff": [1.0, 0.0], "modes": [0, 1]}]}))
+    script = textwrap.dedent(f"""
+        import io, sys
+        import idstat, idstat.cli
+        for argv in (["count", "--n", "3", "--g", "4", "--stat", "bose", "--entropy"],
+                     ["symmetrize", "--input", {str(state)!r}],
+                     ["exchange-phase", "--spin", "0.5", "--chi-a", "0.3",
+                      "--chi-b", "2.1"]):
+            assert idstat.cli.run(argv, io.StringIO()) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"

@@ -22,6 +22,7 @@ from idstat.errors import (
 )
 
 from conftest import gaussian_overlap_closed_form
+from test_cli import _state_to_json
 
 RNG = np.random.default_rng(20100701)
 EPS = np.finfo(float).eps
@@ -308,7 +309,7 @@ def test_cli_symmetrize_matches_reference_bytes(tmp_path, signed):
     assert cli.run(argv, out) == 0
     expected = reference_projector(cli._state_from_json(raw), signed)
     assert out.getvalue() == json.dumps(
-        cli._state_to_json(expected), indent=2, sort_keys=True) + "\n"
+        _state_to_json(expected), indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_symmetrize_rejects_mode_ids_past_int64(tmp_path, capsys):
