@@ -15,21 +15,27 @@ with a fixed by the per-bin packet total.  Summing s * p over orders then
 reproduces the Bose (unbounded s) or Fermi (s <= 1) occupation spectra.
 
 ``relax`` drives arbitrary admissible populations to that fixed point.
-Each sweep alternates two balance-respecting moves: population shifts
-along every inter-bin channel proportional to its imbalance (a damped
-per-channel Newton step), and full equilibration of each bin's
+Each sweep makes one pass of population shifts along the inter-bin
+channels, each a per-channel Newton step on its imbalance damped by
+``rate`` (0.9 by default), and then fully equilibrates each bin's
 condensation ladder at fixed per-bin packet and quantum numbers (the
 limit of iterating the within-bin channels, which every within-bin
 channel balances identically).  The sweep conserves per-bin packet
 totals, each species' total quantum number, and (through channel energy
-conservation) the combined energy.  The packet entropy S is
-nondecreasing along the trajectory up to roundoff: no sweep lowers it by
-more than 16 * eps * |S| (eps the double-precision machine epsilon).
+conservation) the combined energy.  ``equilibrium`` solves for the fixed
+point with those invariants directly.
+
+The H-function of the kinetics is the Stirling packet entropy
+S = k * sum_bins [g ln g - sum_s c ln c], c = p * d_eps
+(``stirling_entropy``); the geometric ladder maximizes it per bin at
+fixed totals.  S is nondecreasing along the trajectory up to roundoff:
+no sweep lowers it by more than 16 * eps * A, where
+A = k * sum (|g ln g| + |c ln c|) and eps is the double-precision
+machine epsilon.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -46,15 +52,17 @@ from .errors import (
 __all__ = [
     "CondensatePopulation",
     "CollisionChannel",
-    "random_population",
     "stationary_population",
     "standard_channels",
     "scramble",
     "balance_residual",
     "total_quanta",
     "packet_entropy",
+    "stirling_entropy",
     "RelaxResult",
     "relax",
+    "Equilibrium",
+    "equilibrium",
 ]
 
 # Per-bin packet totals may drift by at most this much (relative) before
@@ -163,24 +171,6 @@ class CollisionChannel:
         return self.n * (self.eps1_i - self.eps1_f) - self.n_prime * (
             self.eps2_f - self.eps2_i
         )
-
-
-def random_population(kind: int, energies, d_eps: float, g_p, s_max: int,
-                      rng: np.random.Generator, occupied: int | None = None
-                      ) -> CondensatePopulation:
-    """Random admissible population: per bin, g_p packets spread over orders.
-
-    occupied limits the randomly filled orders to 0..occupied (weighting
-    the start toward low condensation); the remaining orders start empty.
-    """
-    energies = np.asarray(energies, dtype=float)
-    g_p = np.broadcast_to(np.asarray(g_p, dtype=float), energies.shape)
-    top = s_max if occupied is None else min(occupied, s_max)
-    table = np.zeros((s_max + 1, energies.size))
-    for j in range(energies.size):
-        weights = rng.dirichlet(np.ones(top + 1))
-        table[: top + 1, j] = weights * g_p[j] / d_eps
-    return CondensatePopulation(kind, energies, d_eps, table)
 
 
 def stationary_population(g_fn, b: float, c: float, energies,
@@ -319,13 +309,34 @@ def packet_entropy(pop: CondensatePopulation, k: float = 1.0) -> float:
 
     Factorials are continued by log-gamma, so fractional densities from
     the relaxation dynamics are admissible.  Refuses populations whose
-    per-bin totals have drifted.
+    per-bin totals have drifted.  Its maximum at fixed invariants is not
+    the geometric fixed point of ``relax``; ``stirling_entropy`` is the
+    function that ``relax`` raises.
     """
     from scipy.special import gammaln  # scipy loads only where it is used
 
     pop.check_totals()
     counts = pop.table * pop.d_eps
     per_bin = gammaln(pop.g_p + 1.0) - gammaln(counts + 1.0).sum(axis=0)
+    return float(k * per_bin.sum())
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x ln x elementwise, with 0 ln 0 = 0."""
+    return x * np.log(np.where(x > 0, x, 1.0))
+
+
+def stirling_entropy(pop: CondensatePopulation, k: float = 1.0) -> float:
+    """Stirling packet entropy k * sum_bins [g ln g - sum_s c ln c].
+
+    c = p * d_eps is the packet count of each order and g = sum_s c the
+    bin's packet total.  At fixed per-bin packet and quantum totals the
+    geometric ladder maximizes it, so it is the H-function of ``relax``.
+    Refuses populations whose per-bin totals have drifted.
+    """
+    pop.check_totals()
+    counts = pop.table * pop.d_eps
+    per_bin = _xlogx(pop.g_p) - _xlogx(counts).sum(axis=0)
     return float(k * per_bin.sum())
 
 
@@ -343,28 +354,26 @@ def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
     """
     if not 0 < strength <= 0.5:
         raise ValueError("strength must be in (0, 0.5] to preserve positivity")
+    rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
     p = pop1.table.copy()
     q = pop2.table.copy()
     for _ in range(rounds):
-        for ch in channels:
-            j1i, j1f, j2i, j2f = _channel_indices(pop1, pop2, ch)
+        for j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr in rows:
             f = rng.uniform(-strength, strength)
             if f >= 0:
-                room = min(p[ch.s, j1i], p[ch.r, j1f],
-                           q[ch.s_prime, j2i], q[ch.r_prime, j2f])
+                room = min(p[s, j1i], p[r, j1f], q[sp, j2i], q[rp, j2f])
             else:
-                room = min(p[ch.s - ch.n, j1i], p[ch.r + ch.n, j1f],
-                           q[ch.s_prime - ch.n_prime, j2i],
-                           q[ch.r_prime + ch.n_prime, j2f])
+                room = min(p[s - n, j1i], p[r + n, j1f],
+                           q[sp - npr, j2i], q[rp + npr, j2f])
             move = f * room
-            p[ch.s, j1i] -= move
-            p[ch.s - ch.n, j1i] += move
-            p[ch.r, j1f] -= move
-            p[ch.r + ch.n, j1f] += move
-            q[ch.s_prime, j2i] -= move
-            q[ch.s_prime - ch.n_prime, j2i] += move
-            q[ch.r_prime, j2f] -= move
-            q[ch.r_prime + ch.n_prime, j2f] += move
+            p[s, j1i] -= move
+            p[s - n, j1i] += move
+            p[r, j1f] -= move
+            p[r + n, j1f] += move
+            q[sp, j2i] -= move
+            q[sp - npr, j2i] += move
+            q[rp, j2f] -= move
+            q[rp + npr, j2f] += move
     return (replace(pop1, table=np.maximum(p, 0.0)),
             replace(pop2, table=np.maximum(q, 0.0)))
 
@@ -480,7 +489,7 @@ def _equilibrate_ladders(table: np.ndarray, lx: np.ndarray,
                          iters: int = 110) -> None:
     """Replace each bin's column by the geometric ladder with the same
     packet and quantum totals (the within-bin detailed-balance form, and
-    the per-bin entropy maximizer at fixed totals).
+    the per-bin Stirling-entropy maximizer at fixed totals).
 
     lx holds ln of the per-bin order ratio and is updated in place as a
     warm start for the next sweep.  It is solved per column by a
@@ -558,27 +567,28 @@ class RelaxResult(NamedTuple):
 
 def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
           channels: Sequence[CollisionChannel], steps: int, seed: int = 0,
-          rate: float = 0.1, tol: float = 1e-10,
-          inner: int = 4) -> RelaxResult:
+          rate: float = 0.9, tol: float = 1e-10) -> RelaxResult:
     """Drive both populations to detailed balance along the channels.
 
-    Each sweep makes ``inner`` passes over the inter-bin channels, moving
+    Each sweep makes one pass over the inter-bin channels, moving
     population from the forward to the reverse configuration of each
     channel proportionally to its imbalance (per-channel Newton scale,
-    damped by ``rate``; channels are processed in conflict-free batches so
-    the moves compose like sequential updates), and then equilibrates
-    every bin's condensation ladder, which settles all within-bin channels
-    at once.  Both moves conserve per-bin packet totals and each species'
-    quantum number; channel energy conservation then keeps the combined
-    energy fixed, so any admissible start relaxes to the unique geometric
-    stationary form with those invariants.
+    damped by ``rate``, 0 < rate < 1; channels are processed in
+    conflict-free batches so the moves compose like sequential updates),
+    and then equilibrates every bin's condensation ladder, which settles
+    all within-bin channels at once.  Both moves conserve per-bin packet
+    totals and each species' quantum number; channel energy conservation
+    then keeps the combined energy fixed, so any admissible start relaxes
+    to the unique geometric stationary form with those invariants (the
+    one ``equilibrium`` solves for).
 
     The per-sweep maximum |imbalance| over all supplied channels is
-    recorded together with the packet entropy and the total quantum
-    number; sweeps stop once the residual falls below tol, and exceeding
-    ``steps`` raises :class:`NonConvergence` carrying the partial result
-    in its ``result`` attribute.  The seed only shuffles channel
-    processing order; the fixed point is seed-independent.
+    recorded together with the Stirling packet entropy (the H-function,
+    see ``stirling_entropy``) and the total quantum number; sweeps stop
+    once the residual falls below tol, and exceeding ``steps`` raises
+    :class:`NonConvergence` carrying the partial result in its ``result``
+    attribute.  The seed only shuffles channel processing order; the
+    fixed point is seed-independent.
     """
     if steps < 1:
         raise ValueError("relax needs at least one sweep")
@@ -606,14 +616,6 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     new1, new2 = pop1, pop2
     sweeps = 0
     for sweep in range(1, steps + 1):
-        for _ in range(inner - 1):
-            for ca_b in batches:
-                delta = _newton_steps(p, q, ca_b, rate)
-                _apply_moves(p, q, ca_b, delta)
-            # a short re-equilibration lets the next pass transport more:
-            # the exchange orders saturate against a stale ladder
-            _equilibrate_ladders(p, lx1, iters=40)
-            _equilibrate_ladders(q, lx2, iters=40)
         for ca_b in batches:
             delta = _newton_steps(p, q, ca_b, rate)
             _apply_moves(p, q, ca_b, delta)
@@ -627,7 +629,7 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
         max_residuals.append(residual)
         new1 = replace(pop1, table=p.copy(), g_p=pop1.g_p)
         new2 = replace(pop2, table=q.copy(), g_p=pop2.g_p)
-        entropies.append(packet_entropy(new1) + packet_entropy(new2))
+        entropies.append(stirling_entropy(new1) + stirling_entropy(new2))
         quanta.append(total_quanta(new1).total + total_quanta(new2).total)
         if residual <= tol:
             return RelaxResult(new1, new2, sweeps, max_residuals, entropies, quanta)
@@ -639,3 +641,111 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     )
     err.result = result
     raise err
+
+
+_EQUILIBRIUM_MAX_ITER = 100
+# Largest change of any ladder's log ratio c_k - b*eps in one ``equilibrium``
+# step.  Far from the root a ladder piles up at s = 0 or s = s_max, its
+# variance collapses and the raw Newton step runs to |log ratio| ~ 1e3,
+# where every variance underflows and the Jacobian is singular.
+_EQUILIBRIUM_MAX_MOVE = 8.0
+
+
+class Equilibrium(NamedTuple):
+    b: float
+    c1: float
+    c2: float
+    pop1: CondensatePopulation
+    pop2: CondensatePopulation
+
+
+def _ladder_moments(lx: np.ndarray, s_max: int):
+    """Normalized ladders exp(s * lx), s = 0..s_max, per column, with
+    their mean order and its variance."""
+    s = np.arange(s_max + 1, dtype=float)[:, None]
+    m = s * lx[None, :]
+    w = np.exp(m - m.max(axis=0, keepdims=True))
+    w /= w.sum(axis=0)
+    mean = (s * w).sum(axis=0)
+    return w, mean, ((s - mean) ** 2 * w).sum(axis=0)
+
+
+def equilibrium(pop1: CondensatePopulation, pop2: CondensatePopulation) -> Equilibrium:
+    """The fixed point of ``relax`` under ``standard_channels``, solved directly.
+
+    It is p(s, eps) proportional to exp(-(b*eps - c_k) s) for species k,
+    with each bin's packet total g_p.  (b, c1, c2) are fixed by the three
+    invariants of the kinetics: each species' total quanta and the
+    combined energy.  They are solved by Newton's method from (1, 0, 0),
+    with the 3x3 Jacobian built from sums of g_p * var over the ladders.
+    Each step is cut so that no ladder's log ratio moves by more than 8,
+    then halved until the scaled residual falls.  The solve stops
+    once a step is at the roundoff floor of (b, c1, c2), or no step along
+    the Newton direction lowers a residual already at roundoff; otherwise
+    it raises :class:`NonConvergence` after 100 iterations.
+    Needs at least two bins, which separate b from the c_k.
+    """
+    pops = (pop1, pop2)
+    for pop in pops:
+        pop.check_totals()
+        if pop.n_bins < 2:
+            raise ValueError("equilibrium needs at least two energy bins")
+    quanta = [total_quanta(pop).per_bin for pop in pops]
+    target = np.array([quanta[0].sum(), quanta[1].sum(),
+                       sum((qb * pop.energies).sum() for qb, pop in zip(quanta, pops))])
+    scale = np.array([pop1.g_p.sum(), pop2.g_p.sum(),
+                      sum((pop.g_p * pop.energies).sum() for pop in pops)])
+
+    def solve_point(x):
+        b, cs = x[0], x[1:]
+        resid = -target.copy()
+        jac = np.zeros((3, 3))
+        for k, (pop, c) in enumerate(zip(pops, cs)):
+            eps = pop.energies
+            _, mean, var = _ladder_moments(c - b * eps, pop.s_max)
+            gm, gv = pop.g_p * mean, pop.g_p * var
+            resid[k] += gm.sum()
+            resid[2] += (gm * eps).sum()
+            jac[k, 0] = -(gv * eps).sum()
+            jac[k, k + 1] = gv.sum()
+            jac[2, 0] -= (gv * eps * eps).sum()
+            jac[2, k + 1] = (gv * eps).sum()
+        return resid, jac
+
+    def scaled(resid):
+        return float(np.max(np.abs(resid) / np.maximum(scale, 1e-300)))
+
+    x = np.array([1.0, 0.0, 0.0])
+    resid, jac = solve_point(x)
+    for _ in range(_EQUILIBRIUM_MAX_ITER):
+        step = np.linalg.solve(jac, -resid)
+        move = max(float(np.max(np.abs(dc - step[0] * pop.energies)))
+                   for pop, dc in zip(pops, step[1:]))
+        if move > _EQUILIBRIUM_MAX_MOVE:
+            step *= _EQUILIBRIUM_MAX_MOVE / move
+        t = 1.0
+        while t > 2.0 ** -40:
+            trial = x + t * step
+            trial_resid, trial_jac = solve_point(trial)
+            if scaled(trial_resid) < scaled(resid):
+                break
+            t *= 0.5
+        else:
+            if scaled(resid) > 1e-12:
+                raise NonConvergence(
+                    f"equilibrium stalled at scaled residual {scaled(resid):.3e}")
+            break
+        done = np.all(np.abs(t * step) <= _LADDER_STEP_FLOOR * np.maximum(1.0, np.abs(x)))
+        x, resid, jac = trial, trial_resid, trial_jac
+        if done:
+            break
+    else:
+        raise NonConvergence(
+            f"equilibrium residual {scaled(resid):.3e} after "
+            f"{_EQUILIBRIUM_MAX_ITER} iterations")
+
+    tables = []
+    for pop, c in zip(pops, x[1:]):
+        w, _, _ = _ladder_moments(c - x[0] * pop.energies, pop.s_max)
+        tables.append(replace(pop, table=w * (pop.g_p / pop.d_eps)))
+    return Equilibrium(float(x[0]), float(x[1]), float(x[2]), *tables)

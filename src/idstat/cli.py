@@ -83,23 +83,28 @@ def load_config(path: str) -> Config:
     return Config(**merged)
 
 
-def _emit_table(out, header, columns, fmt: str, name: str):
-    """Write equal-length 1-D column arrays as one table in one write.
+def _emit_table(out, tables, fmt: str):
+    """Write (name, header, columns) tables of equal-length 1-D column arrays.
 
-    CSV rows come from one template, ``%d`` for integer columns and
-    ``FMT`` for the rest, applied once to the row-major values.
+    CSV tables are separated by a blank line; each one's rows come from
+    one template, ``%d`` for integer columns and ``FMT`` for the rest,
+    applied once to the row-major values.  JSON is one object keyed by
+    table name.
     """
     if fmt == "csv":
-        row = ",".join("%d" if c.dtype.kind in "iu" else FMT for c in columns)
-        values = [None] * (len(columns) * len(columns[0]))
-        for k, c in enumerate(columns):
-            values[k::len(columns)] = c.tolist()
-        out.write(",".join(header) + "\n"
-                  + ((row + "\n") * len(columns[0])) % tuple(values))
+        parts = []
+        for _, header, columns in tables:
+            row = ",".join("%d" if c.dtype.kind in "iu" else FMT for c in columns)
+            values = [None] * (len(columns) * len(columns[0]))
+            for k, c in enumerate(columns):
+                values[k::len(columns)] = c.tolist()
+            parts.append(",".join(header) + "\n"
+                         + ((row + "\n") * len(columns[0])) % tuple(values))
+        out.write("\n".join(parts))
     else:
-        rows = zip(*(c.tolist() for c in columns))
-        print(json.dumps({name: [dict(zip(header, r)) for r in rows]},
-                         indent=2, sort_keys=True), file=out)
+        doc = {name: [dict(zip(header, r)) for r in zip(*(c.tolist() for c in columns))]
+               for name, header, columns in tables}
+        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -116,7 +121,7 @@ def _cmd_evolve(args, cfg: Config, out) -> int:
     psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
     columns = [np.repeat(times, xs.size), np.tile(xs, times.size),
                psi.real, psi.imag, np.abs(psi) ** 2]
-    _emit_table(out, ["t", "x", "re", "im", "density"], columns, args.format, "evolve")
+    _emit_table(out, [("evolve", ["t", "x", "re", "im", "density"], columns)], args.format)
     return 0
 
 
@@ -232,8 +237,8 @@ def _cmd_distribute(args, cfg: Config, out) -> int:
     if args.via == "maxent":
         e_target = float((occ * eps).sum())
         occ = distributions.max_entropy_occupancies(spec, grid, args.N, e_target).occupancies
-    _emit_table(out, ["p", "eps", "g_p", "occupancy"], [ps, eps, g, occ],
-                args.format, "distribute")
+    _emit_table(out, [("distribute", ["p", "eps", "g_p", "occupancy"], [ps, eps, g, occ])],
+                args.format)
     return 0
 
 
@@ -255,17 +260,15 @@ def _cmd_balance(args, cfg: Config, out) -> int:
         result = exc.result
         code = 4
         print(f"error: NonConvergence: {exc}", file=sys.stderr)
-    sweeps = np.arange(1, len(result.max_residuals) + 1)
-    _emit_table(out, ["sweep", "max_residual", "entropy", "total_quanta"],
-                [sweeps, np.array(result.max_residuals), np.array(result.entropies),
-                 np.array(result.quanta)], args.format, "sweeps")
-    if args.format == "csv":
-        print("", file=out)
     pop = result.pop1
-    _emit_table(out, ["eps", "s", "p"],
-                [np.repeat(pop.energies, pop.s_max + 1),
-                 np.tile(np.arange(pop.s_max + 1), pop.n_bins), pop.table.T.ravel()],
-                args.format, "population")
+    _emit_table(out, [
+        ("sweeps", ["sweep", "max_residual", "entropy", "total_quanta"],
+         [np.arange(1, len(result.max_residuals) + 1), np.array(result.max_residuals),
+          np.array(result.entropies), np.array(result.quanta)]),
+        ("population", ["eps", "s", "p"],
+         [np.repeat(pop.energies, pop.s_max + 1),
+          np.tile(np.arange(pop.s_max + 1), pop.n_bins), pop.table.T.ravel()]),
+    ], args.format)
     return code
 
 
@@ -400,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0,
                    help="chemical potential in units of kT (the exponent offset)")
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--rate", type=float, default=0.1)
+    p.add_argument("--rate", type=float, default=0.9,
+                   help="fraction of each channel's Newton step, 0 < rate < 1")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_balance)
 

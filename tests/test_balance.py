@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -157,6 +158,40 @@ def test_packet_entropy_drift_guard():
         bal.packet_entropy(broken)
 
 
+def test_stirling_entropy_examples():
+    # all packets in a single order per bin: g ln g - g ln g = 0
+    table = np.zeros((3, BINS))
+    table[1] = 4.0
+    pop = bal.CondensatePopulation(1, ENERGIES, 1.0, table)
+    assert bal.stirling_entropy(pop) == pytest.approx(0.0, abs=1e-12)
+
+    # equal split of 4 packets over two classes: 4 ln 4 - 2 * 2 ln 2 = 4 ln 2
+    table = np.array([[2.0], [2.0], [0.0]])
+    pop = bal.CondensatePopulation(1, np.array([1.0]), 1.0, table)
+    assert bal.stirling_entropy(pop) == pytest.approx(4 * math.log(2.0), rel=1e-12)
+    assert bal.stirling_entropy(pop, k=2.0) == pytest.approx(8 * math.log(2.0), rel=1e-12)
+
+    table = pop.table.copy()
+    table[0, 0] += 1.0
+    broken = bal.CondensatePopulation(1, np.array([1.0]), 1.0, table, g_p=pop.g_p)
+    with pytest.raises(InvariantViolation):
+        bal.stirling_entropy(broken)
+
+
+def test_geometric_ladder_maximizes_stirling_entropy():
+    # moves of (+1, -2, +1) packets at orders (s-1, s, s+1) keep a bin's
+    # packet and quantum totals; every one lowers the Stirling entropy of
+    # the geometric ladder
+    pop, _ = stationary_pair()
+    s_geo = bal.stirling_entropy(pop)
+    for s in (1, 5, 20):
+        for sign in (1.0, -1.0):
+            table = pop.table.copy()
+            table[s - 1:s + 2, 0] += sign * 0.1 * table[s + 1, 0] * np.array([1.0, -2.0, 1.0])
+            moved = bal.CondensatePopulation(1, ENERGIES, 1.0, table, g_p=pop.g_p)
+            assert bal.stirling_entropy(moved) < s_geo
+
+
 def test_stationary_entropy_beats_integer_rearrangements():
     # single bin, g packets, quanta fixed: the geometric ladder's
     # log-gamma entropy is not undercut by any integer table with the
@@ -237,7 +272,7 @@ def test_relax_converges_to_geometric_form():
     rng = np.random.default_rng(11)
     pop1, pop2 = bal.scramble(base1, base2, channels, rng, rounds=2, strength=0.4)
     res = bal.relax(pop1, pop2, channels, steps=2000, seed=11, rate=0.9,
-                    tol=1e-10, inner=8)
+                    tol=1e-10)
     assert res.max_residuals[-1] < 1e-10
 
     # conserving scrambles return to the original stationary parameters
@@ -262,7 +297,7 @@ def test_relax_conserves_packets_and_quanta():
     pop1, pop2 = bal.scramble(base1, base2, channels, rng)
     q0 = bal.total_quanta(pop1).total + bal.total_quanta(pop2).total
     res = bal.relax(pop1, pop2, channels, steps=2000, seed=3, rate=0.9,
-                    tol=1e-10, inner=8)
+                    tol=1e-10)
     quanta = np.array(res.quanta)
     assert np.max(np.abs(quanta - q0)) < 1e-9
     for pop, start in ((res.pop1, pop1), (res.pop2, pop2)):
@@ -319,3 +354,90 @@ def test_population_validation():
     with pytest.raises(OffGrid):
         pop, _ = stationary_pair()
         pop.bin_index(99.0)
+
+
+@pytest.mark.parametrize("b,c1,c2", [(0.4, 0.1, 0.1), (0.05, 1.0, -1.0), (3.0, 0.0, 0.0)])
+def test_equilibrium_recovers_stationary_parameters(b, c1, c2):
+    # true parameters on both sides of the fixed (1, 0, 0) start
+    pop1 = bal.stationary_population(g_const, b, c1, ENERGIES, 1.0, s_max=SMAX, kind=1)
+    pop2 = bal.stationary_population(g_const, b, c2, ENERGIES, 1.0, s_max=SMAX, kind=2)
+    eq = bal.equilibrium(pop1, pop2)
+    assert (eq.b, eq.c1, eq.c2) == pytest.approx((b, c1, c2), abs=1e-13)
+    # per bin: at b = 3 the top slots are subnormal and hold few digits
+    assert _max_bin_miss(eq.pop1, pop1) <= 1e-12
+    assert _max_bin_miss(eq.pop2, pop2) <= 1e-12
+
+
+def test_equilibrium_separates_the_species():
+    # distinct offsets c1, c2 and a fermi second species
+    pop1 = bal.stationary_population(g_const, 0.7, 0.3, ENERGIES, 1.0, s_max=SMAX)
+    pop2 = bal.stationary_population(lambda e: 2.0 + e, 0.7, -0.4, ENERGIES, 1.0,
+                                     s_max=1, kind=2)
+    eq = bal.equilibrium(pop1, pop2)
+    assert (eq.b, eq.c1, eq.c2) == pytest.approx((0.7, 0.3, -0.4), abs=1e-12)
+    assert eq.pop2.s_max == 1
+
+
+def test_equilibrium_needs_two_bins():
+    pop = bal.stationary_population(g_const, 0.4, 0.1, np.array([1.0]), 1.0, s_max=4)
+    with pytest.raises(ValueError):
+        bal.equilibrium(pop, pop)
+
+
+def _cli_toy(bins, s_max, seed):
+    # the populations `idstat --seed <seed> balance --bins <bins> --smax <s_max>`
+    # hands to relax
+    energies = np.arange(1.0, bins + 1.0)
+    pops = [bal.stationary_population(lambda e: 6.0, 1.0, 0.0, energies, 1.0,
+                                      s_max=s_max, kind=kind) for kind in (1, 2)]
+    channels = bal.standard_channels(energies, s_max, s_max)
+    return (*bal.scramble(*pops, channels, np.random.default_rng(seed)), channels)
+
+
+def _max_bin_miss(got, want):
+    """Largest |got - want| in each bin relative to that bin's largest slot."""
+    return float(np.max(np.abs(got.table - want.table).max(axis=0)
+                        / want.table.max(axis=0)))
+
+
+def _stirling_scale(pop):
+    counts = pop.table * pop.d_eps
+    g_log_g = pop.g_p * np.log(pop.g_p)
+    c_log_c = counts * np.log(np.where(counts > 0, counts, 1.0))
+    return float(np.abs(g_log_g).sum() + np.abs(c_log_c).sum())
+
+
+@functools.cache
+def _relaxed_cli_toy(bins, s_max, steps, seed):
+    pop1, pop2, channels = _cli_toy(bins, s_max, seed)
+    return pop1, pop2, bal.relax(pop1, pop2, channels, steps=steps, seed=seed)
+
+
+@pytest.mark.parametrize("bins,s_max,steps,seed", [
+    (8, 16, 2000, 0), (8, 16, 2000, 7), (32, 64, 300, 3)])
+def test_relax_lands_on_equilibrium(bins, s_max, steps, seed):
+    pop1, pop2, res = _relaxed_cli_toy(bins, s_max, steps, seed)
+    eq = bal.equilibrium(pop1, pop2)
+    assert (eq.b, eq.c1, eq.c2) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    assert _max_bin_miss(res.pop1, eq.pop1) <= 1e-10
+    assert _max_bin_miss(res.pop2, eq.pop2) <= 1e-10
+
+
+def test_relax_lands_on_equilibrium_of_scrambled_pair():
+    channels = bal.standard_channels(ENERGIES, SMAX, SMAX)
+    pop1, pop2 = bal.scramble(*stationary_pair(b=0.4, c=0.1), channels,
+                              np.random.default_rng(11))
+    res = bal.relax(pop1, pop2, channels, steps=2000, seed=11)
+    eq = bal.equilibrium(pop1, pop2)
+    assert (eq.b, eq.c1, eq.c2) == pytest.approx((0.4, 0.1, 0.1), abs=1e-12)
+    assert _max_bin_miss(res.pop1, eq.pop1) <= 1e-10
+    assert _max_bin_miss(res.pop2, eq.pop2) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_wide_grid_entropy_never_falls_past_roundoff(seed):
+    # the bound the balance module docstring states: no sweep lowers the
+    # Stirling entropy by more than 16 eps A, A = sum |g ln g| + |c ln c|
+    _, _, res = _relaxed_cli_toy(32, 64, 300, seed)
+    scale = _stirling_scale(res.pop1) + _stirling_scale(res.pop2)
+    assert np.all(np.diff(res.entropies) >= -16 * np.finfo(float).eps * scale)
