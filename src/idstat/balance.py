@@ -16,14 +16,14 @@ reproduces the Bose (unbounded s) or Fermi (s <= 1) occupation spectra.
 
 ``relax`` drives arbitrary admissible populations to that fixed point.
 Each sweep makes one pass of population shifts along the inter-bin
-channels, each a per-channel Newton step on its imbalance damped by
-``rate`` (0.9 by default), and then fully equilibrates each bin's
-condensation ladder at fixed per-bin packet and quantum numbers (the
-limit of iterating the within-bin channels, which every within-bin
-channel balances identically).  The sweep conserves per-bin packet
-totals, each species' total quantum number, and (through channel energy
-conservation) the combined energy.  ``equilibrium`` solves for the fixed
-point with those invariants directly.
+channels, each 0.9 of a per-channel Newton step on its imbalance, and
+then fully equilibrates each bin's condensation ladder at fixed per-bin
+packet and quantum numbers (the limit of iterating the within-bin
+channels, which every within-bin channel balances identically).  The
+sweep conserves per-bin packet totals, each species' total quantum
+number, and (through channel energy conservation) the combined energy.
+``equilibrium`` solves for the fixed point with those invariants
+directly.
 
 The H-function of the kinetics is the Stirling packet entropy
 S = k * sum_bins [g ln g - sum_s c ln c], c = p * d_eps
@@ -79,6 +79,12 @@ TAIL_MASS_TOL = 1e-12
 # step it has just taken leaves an error far below one ulp.
 _LADDER_STEP_FLOOR = 64 * np.finfo(float).eps
 
+# |ln ratio| past which the order-1 slot of a normalized ladder underflows.
+_LX_BOUND = -float(np.log(np.finfo(float).smallest_subnormal))
+
+# Fraction of its Newton step that each inter-bin channel moves per sweep.
+_RELAX_RATE = 0.9
+
 
 @dataclass(frozen=True)
 class CondensatePopulation:
@@ -102,14 +108,15 @@ class CondensatePopulation:
             raise ValueError(f"kind must be 1 or 2, got {self.kind}")
         energies = np.asarray(self.energies, dtype=float)
         table = np.asarray(self.table, dtype=float)
-        if self.d_eps <= 0:
-            raise ValueError("d_eps must be positive")
-        if energies.ndim != 1 or np.any(np.diff(energies) <= 0):
-            raise ValueError("energies must be a strictly increasing 1-d grid")
+        if not (np.isfinite(self.d_eps) and self.d_eps > 0):
+            raise ValueError(f"d_eps must be positive and finite, got {self.d_eps}")
+        if (energies.ndim != 1 or not np.all(np.isfinite(energies))
+                or np.any(np.diff(energies) <= 0)):
+            raise ValueError("energies must be a finite, strictly increasing 1-d grid")
         if table.ndim != 2 or table.shape[1] != energies.size:
             raise ValueError("table must have shape (s_max + 1, len(energies))")
-        if np.any(table < 0):
-            raise ValueError("packet densities must be nonnegative")
+        if not np.all(np.isfinite(table)) or np.any(table < 0):
+            raise ValueError("packet densities must be finite and nonnegative")
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "table", table)
         if self.g_p is None:
@@ -173,6 +180,21 @@ class CollisionChannel:
         )
 
 
+def _ladder_moments(lx: np.ndarray, s_max: int):
+    """Normalized ladders exp(s * lx), s = 0..s_max, per column, with
+    their mean order and its variance (summed about the mean, which stays
+    accurate where a ladder piles up at s = 0 or s = s_max)."""
+    s = np.arange(s_max + 1, dtype=float)
+    w = np.multiply.outer(s, lx)
+    w -= s_max * np.maximum(lx, 0.0)  # each column's largest exponent
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    mean = s @ w
+    dev = np.subtract.outer(s, mean) ** 2
+    dev *= w
+    return w, mean, dev.sum(axis=0)
+
+
 def stationary_population(g_fn, b: float, c: float, energies,
                           d_eps: float, s_max: int | None = None,
                           kind: int = 1) -> CondensatePopulation:
@@ -184,6 +206,8 @@ def stationary_population(g_fn, b: float, c: float, energies,
     b*eps - c > 0 on the whole grid and is realized with a finite table
     whose truncated tail mass is checked against 1e-12.
     """
+    if not (np.isfinite(b) and np.isfinite(c)):
+        raise ValueError(f"b and c must be finite, got b = {b}, c = {c}")
     if b <= 0:
         raise ValueError(f"b = 1/kT must be positive, got {b}")
     energies = np.asarray(energies, dtype=float)
@@ -206,11 +230,10 @@ def stationary_population(g_fn, b: float, c: float, energies,
         if s_top < 1:
             raise ValueError("s_max must be at least 1")
     g_p = np.asarray([g_fn(e) for e in energies], dtype=float)
-    orders = np.arange(s_top + 1)[:, None]
-    shape = np.exp(-exponent[None, :] * orders)
-    norm = shape.sum(axis=0) * d_eps
-    table = shape * (g_p / norm)[None, :]
-    return CondensatePopulation(kind, energies, d_eps, table)
+    if not np.all(np.isfinite(g_p)):
+        raise ValueError("g_fn must give a finite mode count in every bin")
+    w, _, _ = _ladder_moments(-exponent, s_top)
+    return CondensatePopulation(kind, energies, d_eps, w * (g_p / d_eps))
 
 
 def standard_channels(energies, s_max1: int, s_max2: int) -> list[CollisionChannel]:
@@ -341,25 +364,23 @@ def stirling_entropy(pop: CondensatePopulation, k: float = 1.0) -> float:
 
 
 def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
-             channels: Sequence[CollisionChannel], rng: np.random.Generator,
-             rounds: int = 3, strength: float = 0.5
+             channels: Sequence[CollisionChannel], rng: np.random.Generator
              ) -> tuple[CondensatePopulation, CondensatePopulation]:
     """Randomly disturb two populations using only admissible channel moves.
 
-    Every move shifts population along one channel (in either direction)
-    by a random fraction of what positivity allows, so per-bin packet
-    totals, per-species quantum numbers, and the combined energy are all
+    Three rounds pass over the channels.  Every move shifts population
+    along one channel (in either direction) by a random fraction, at most
+    half, of the smallest slot it draws from, so per-bin packet totals,
+    per-species quantum numbers, and the combined energy are all
     conserved exactly; relaxation from the scrambled state must return to
     the same stationary form.
     """
-    if not 0 < strength <= 0.5:
-        raise ValueError("strength must be in (0, 0.5] to preserve positivity")
     rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
     p = pop1.table.copy()
     q = pop2.table.copy()
-    for _ in range(rounds):
+    for _ in range(3):
         for j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr in rows:
-            f = rng.uniform(-strength, strength)
+            f = rng.uniform(-0.5, 0.5)
             if f >= 0:
                 room = min(p[s, j1i], p[r, j1f], q[sp, j2i], q[rp, j2f])
             else:
@@ -419,22 +440,21 @@ def _residuals(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays) -> np.ndarray:
     return forward - reverse
 
 
-def _newton_steps(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays,
-                  rate: float) -> np.ndarray:
-    """Per-channel move rate * D / H, where H = -dD/d(move).
+def _newton_steps(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays) -> np.ndarray:
+    """Per-channel move 0.9 * D / H, where H = -dD/d(move).
 
     H = F * sum(1/p_fwd) + R * sum(1/p_rev) is the sensitivity of the
     imbalance to moving one unit of population, so an isolated update
-    shrinks D by (1 - rate) regardless of the channel's scale, and for
-    rate < 1 no density can be driven negative.  Channels whose products
-    both vanish contribute no move.
+    shrinks D to a tenth regardless of the channel's scale, and, as the
+    step stops short of the full Newton step, no density can be driven
+    negative.  Channels whose products both vanish contribute no move.
     """
     forward, reverse, fwd, rev = _products(p, q, ca)
     d = forward - reverse
     tiny = 1e-300
     h = forward * sum(1.0 / np.maximum(f, tiny) for f in fwd) + \
         reverse * sum(1.0 / np.maximum(r, tiny) for r in rev)
-    return rate * d / np.maximum(h, tiny)
+    return _RELAX_RATE * d / np.maximum(h, tiny)
 
 
 def _is_within_bin(ca: _ChannelArrays) -> np.ndarray:
@@ -492,37 +512,34 @@ def _equilibrate_ladders(table: np.ndarray, lx: np.ndarray,
     the per-bin Stirling-entropy maximizer at fixed totals).
 
     lx holds ln of the per-bin order ratio and is updated in place as a
-    warm start for the next sweep.  It is solved per column by a
-    safeguarded Newton iteration on the mean order; a column stops once
-    its Newton step is at the roundoff floor of ln(ratio), relative to
-    max(1, |lx|), and is not moved again.  ``iters`` only caps the number
-    of iterations for columns that never reach that floor.  A column that
-    already sits on its ladder (to 1e-12 relative in every slot) is left
-    unchanged; the others are replaced,
-    and a final exact transfer between orders 0 and 1 removes the
-    quantum-number rounding left by the ratio solve.
+    warm start for the next sweep.  It is solved per column by Newton's
+    method on the mean order, bisecting the bracket |lx| <= 744 as
+    fallback (past it the normalized ladder's order-1 slot underflows).
+    A column stops once its Newton step is at the roundoff floor of
+    ln(ratio), relative to max(1, |lx|), and is not moved again.
+    ``iters`` only caps the number of iterations for columns that never
+    reach that floor.  Columns with every packet at order 0 (or s_max),
+    the limit of a ladder as lx -> -inf (+inf), and columns that already
+    sit on their ladder (to 1e-12 relative in every slot) are left
+    unchanged.  The others are replaced, and a final exact transfer
+    between orders 0 and 1 removes the quantum-number rounding left by
+    the ratio solve.
     """
     s_max = table.shape[0] - 1
-    s = np.arange(s_max + 1, dtype=float)[:, None]
+    s = np.arange(s_max + 1, dtype=float)
     totals = table.sum(axis=0)
-    quanta = (s * table).sum(axis=0)
-    mean = np.clip(quanta / np.maximum(totals, 1e-300), 1e-13, s_max - 1e-13)
+    quanta = s @ table
+    mean = quanta / np.maximum(totals, 1e-300)
 
-    # safeguarded Newton on the monotone mean-order equation, bisection
-    # bracket as fallback.  The bracket test is inclusive: at the root err
-    # is zero or roundoff, the bracket end moves onto lx itself, and a
-    # strict test would reject the null step and bisect toward +-50.
-    lo = np.full(lx.shape, -50.0)
-    hi = np.full(lx.shape, 50.0)
-    np.clip(lx, -49.0, 49.0, out=lx)
-    active = np.ones(lx.shape, dtype=bool)
+    # The bracket test is inclusive: at the root err is zero or roundoff,
+    # the bracket end moves onto lx itself, and a strict test would reject
+    # the null step and bisect away from the root.
+    lo = np.full(lx.shape, -_LX_BOUND)
+    hi = np.full(lx.shape, _LX_BOUND)
+    edge = (mean <= 0) | (mean >= s_max)   # no finite root
+    active = ~edge
     for _ in range(iters):
-        m = s * lx[None, :]
-        m -= m.max(axis=0, keepdims=True)
-        w = np.exp(m)
-        w_sum = w.sum(axis=0)
-        f = (s * w).sum(axis=0) / w_sum
-        var = (s * s * w).sum(axis=0) / w_sum - f * f
+        _, f, var = _ladder_moments(lx, s_max)
         err = mean - f
         lo = np.where(err > 0, lx, lo)   # f too small: ratio must grow
         hi = np.where(err > 0, hi, lx)
@@ -535,21 +552,19 @@ def _equilibrate_ladders(table: np.ndarray, lx: np.ndarray,
         active &= ~done
         if not np.any(active):
             break
-    m = s * lx[None, :]
-    m -= m.max(axis=0, keepdims=True)
-    w = np.exp(m)
-    ladder = w * (totals / w.sum(axis=0))[None, :]
+    w, _, _ = _ladder_moments(lx, s_max)
+    ladder = w * totals
     # leave columns that already sit on their ladder, to 1e-12 relative in
     # every slot, untouched, so exact fixed points stay exactly fixed
     # instead of accumulating churn.  One cutoff for the whole table would
     # leave small high-order slots far off their ladder.
-    stale = np.any(np.abs(ladder - table) > 1e-12 * ladder, axis=0)
+    stale = ~edge & np.any(np.abs(ladder - table) > 1e-12 * ladder, axis=0)
     if not np.any(stale):
         return
     table[:, stale] = ladder[:, stale]
     # exact repair of the remaining quantum defect: move population
     # between orders 0 and 1 (changes quanta one-for-one)
-    defect = quanta - (s * table).sum(axis=0)
+    defect = quanta - s @ table
     defect[~stale] = 0.0
     defect = np.clip(defect, -table[1], table[0])
     table[0] -= defect
@@ -567,15 +582,14 @@ class RelaxResult(NamedTuple):
 
 def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
           channels: Sequence[CollisionChannel], steps: int, seed: int = 0,
-          rate: float = 0.9, tol: float = 1e-10) -> RelaxResult:
+          tol: float = 1e-10) -> RelaxResult:
     """Drive both populations to detailed balance along the channels.
 
     Each sweep makes one pass over the inter-bin channels, moving
     population from the forward to the reverse configuration of each
-    channel proportionally to its imbalance (per-channel Newton scale,
-    damped by ``rate``, 0 < rate < 1; channels are processed in
-    conflict-free batches so the moves compose like sequential updates),
-    and then equilibrates every bin's condensation ladder, which settles
+    channel by 0.9 of its per-channel Newton step on the imbalance
+    (channels are processed in conflict-free batches so the moves compose
+    like sequential updates), and then equilibrates every bin's condensation ladder, which settles
     all within-bin channels at once.  Both moves conserve per-bin packet
     totals and each species' quantum number; channel energy conservation
     then keeps the combined energy fixed, so any admissible start relaxes
@@ -594,8 +608,6 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
         raise ValueError("relax needs at least one sweep")
     if not channels:
         raise ValueError("relax needs at least one channel")
-    if not 0 < rate < 1:
-        raise ValueError("rate must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     ca_all = _pack_channels(pop1, pop2, channels)
     order = rng.permutation(len(channels))
@@ -617,7 +629,7 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     sweeps = 0
     for sweep in range(1, steps + 1):
         for ca_b in batches:
-            delta = _newton_steps(p, q, ca_b, rate)
+            delta = _newton_steps(p, q, ca_b)
             _apply_moves(p, q, ca_b, delta)
         _equilibrate_ladders(p, lx1)
         _equilibrate_ladders(q, lx2)
@@ -657,17 +669,6 @@ class Equilibrium(NamedTuple):
     c2: float
     pop1: CondensatePopulation
     pop2: CondensatePopulation
-
-
-def _ladder_moments(lx: np.ndarray, s_max: int):
-    """Normalized ladders exp(s * lx), s = 0..s_max, per column, with
-    their mean order and its variance."""
-    s = np.arange(s_max + 1, dtype=float)[:, None]
-    m = s * lx[None, :]
-    w = np.exp(m - m.max(axis=0, keepdims=True))
-    w /= w.sum(axis=0)
-    mean = (s * w).sum(axis=0)
-    return w, mean, ((s - mean) ** 2 * w).sum(axis=0)
 
 
 def equilibrium(pop1: CondensatePopulation, pop2: CondensatePopulation) -> Equilibrium:

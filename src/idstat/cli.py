@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,7 +254,7 @@ def _cmd_balance(args, cfg: Config, out) -> int:
     pop1, pop2 = balance.scramble(pop1, pop2, channels, rng)
     try:
         result = balance.relax(pop1, pop2, channels, steps=args.steps,
-                               seed=args.seed, rate=args.rate, tol=args.tol)
+                               seed=args.seed, tol=args.tol)
         code = 0
     except NonConvergence as exc:
         result = exc.result
@@ -403,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0,
                    help="chemical potential in units of kT (the exponent offset)")
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--rate", type=float, default=0.9,
-                   help="fraction of each channel's Newton step, 0 < rate < 1")
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_balance)
 
@@ -428,14 +426,9 @@ def run(argv=None, out=None) -> int:
         if seed is None:
             env = os.environ.get("IDSTAT_SEED")
             seed = int(env) if env else cfg.seed
-        cfg = Config(
-            hbar=cfg.hbar, k_boltzmann=cfg.k_boltzmann, h_planck=cfg.h_planck,
-            c_light=cfg.c_light,
-            output_format=args.format or cfg.output_format, seed=seed,
-        )
+        cfg = replace(cfg, output_format=args.format or cfg.output_format, seed=seed)
         args.format = cfg.output_format
-        if getattr(args, "seed", None) is None:
-            args.seed = cfg.seed
+        args.seed = cfg.seed
         return args.func(args, cfg, out)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,46 +234,92 @@ def test_stationary_entropy_beats_integer_rearrangements():
 def test_relax_fixed_point_stays_fixed():
     pop1, pop2 = stationary_pair()
     channels = bal.standard_channels(ENERGIES, SMAX, SMAX)
-    res = bal.relax(pop1, pop2, channels, steps=5, seed=0, rate=0.5, tol=1e-12)
+    res = bal.relax(pop1, pop2, channels, steps=5, seed=0, tol=1e-12)
     assert res.sweeps == 1
     assert res.max_residuals[-1] < 1e-12
     assert np.allclose(res.pop1.table, pop1.table, rtol=1e-9, atol=1e-12)
 
 
-def test_equilibrate_ladders_keeps_exact_ladder_and_totals():
+@pytest.mark.parametrize("bins,s_max,b,c", [(BINS, SMAX, 0.4, 0.1), (32, 64, 1.0, 0.0)])
+def test_equilibrate_ladders_keeps_exact_ladder_and_totals(bins, s_max, b, c):
     # a cold-started, short ladder solve must land each column on its own
-    # root and leave columns that already sit on their ladder untouched
-    b, c = 0.4, 0.1
-    pop, _ = stationary_pair(b=b, c=c)
+    # root and leave columns that already sit on their ladder untouched,
+    # also where the true mean order is far below 1e-13 (the wide grid)
+    energies = np.arange(1.0, bins + 1.0)
+    pop = bal.stationary_population(g_const, b, c, energies, 1.0, s_max=s_max)
     table = pop.table.copy()
-    lx = np.full(BINS, -0.5)
+    lx = np.full(bins, -0.5)
     bal._equilibrate_ladders(table, lx, iters=40)
     assert np.array_equal(table, pop.table)
-    root = -(b * ENERGIES - c)
+    root = -(b * energies - c)
     assert np.all(np.abs(lx - root) <= 8 * np.spacing(np.abs(root)))
 
     # a perturbed column is replaced by the ladder with its own totals;
     # the other columns stay bit-identical
     table = pop.table.copy()
     table[1:4, 2] *= [1.3, 0.7, 1.1]
-    s = np.arange(SMAX + 1)
+    s = np.arange(s_max + 1)
     packets, quanta = table[:, 2].sum(), s @ table[:, 2]
-    lx = np.full(BINS, -0.5)
+    lx = np.full(bins, -0.5)
     bal._equilibrate_ladders(table, lx, iters=40)
     assert table[:, 2].sum() == pytest.approx(packets, rel=1e-12)
     assert s @ table[:, 2] == pytest.approx(quanta, rel=1e-12)
     assert np.allclose(np.diff(np.log(table[1:, 2])), lx[2], rtol=1e-9)
-    others = np.arange(BINS) != 2
+    others = np.arange(bins) != 2
     assert np.array_equal(table[:, others], pop.table[:, others])
+
+
+def test_equilibrate_ladders_leaves_columns_without_a_finite_root():
+    # no packets, every packet at order 0, every packet at s_max: the
+    # ladder's log ratio would be -inf or +inf, and each column already is
+    # its limit ladder
+    table = np.zeros((SMAX + 1, 3))
+    table[0, 1] = G0
+    table[SMAX, 2] = G0
+    start = table.copy()
+    lx = np.full(3, -0.5)
+    bal._equilibrate_ladders(table, lx, iters=3)
+    assert np.array_equal(table, start)
+    assert np.array_equal(lx, np.full(3, -0.5))
+
+
+@pytest.mark.parametrize("b", [1.0, 3.0])
+def test_relax_keeps_exact_pair_on_steep_grid(b):
+    # on the 32-bin, s_max-64 grid the high bins' mean orders reach e^-32
+    # (b 1) and e^-96 (b 3); every representable slot must stay put
+    energies = np.arange(1.0, 33.0)
+    pops = [bal.stationary_population(g_const, b, 0.0, energies, 1.0, s_max=64,
+                                      kind=kind) for kind in (1, 2)]
+    channels = bal.standard_channels(energies, 64, 64)
+    res = bal.relax(*pops, channels, steps=5, seed=0)
+    assert res.sweeps == 1
+    for new, old in zip((res.pop1, res.pop2), pops):
+        big = old.table >= 1e-300
+        miss = np.abs(new.table[big] - old.table[big]) / old.table[big]
+        assert np.max(miss) <= 1e-12
+
+
+def test_stationary_population_steep_ladder_is_finite():
+    # c > b*eps piles each ladder up at s_max; exp(-(b*eps - c) s) alone
+    # overflows at s = 40
+    b, c = 0.01, 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pop = bal.stationary_population(g_const, b, c, ENERGIES, 1.0, s_max=40)
+    p = pop.table
+    assert np.all(np.isfinite(p))
+    assert np.allclose(p.sum(axis=0) * pop.d_eps, G0, rtol=1e-12, atol=0)
+    both = (p[1:] >= 1e-300) & (p[:-1] >= 1e-300)
+    expected = np.broadcast_to(c - b * ENERGIES, both.shape)[both]
+    assert np.all(np.abs(np.log(p[1:][both] / p[:-1][both]) - expected) <= 1e-9)
 
 
 def test_relax_converges_to_geometric_form():
     channels = bal.standard_channels(ENERGIES, SMAX, SMAX)
     base1, base2 = stationary_pair(b=0.4, c=0.1)
     rng = np.random.default_rng(11)
-    pop1, pop2 = bal.scramble(base1, base2, channels, rng, rounds=2, strength=0.4)
-    res = bal.relax(pop1, pop2, channels, steps=2000, seed=11, rate=0.9,
-                    tol=1e-10)
+    pop1, pop2 = bal.scramble(base1, base2, channels, rng)
+    res = bal.relax(pop1, pop2, channels, steps=2000, seed=11, tol=1e-10)
     assert res.max_residuals[-1] < 1e-10
 
     # conserving scrambles return to the original stationary parameters
@@ -296,8 +343,7 @@ def test_relax_conserves_packets_and_quanta():
     rng = np.random.default_rng(3)
     pop1, pop2 = bal.scramble(base1, base2, channels, rng)
     q0 = bal.total_quanta(pop1).total + bal.total_quanta(pop2).total
-    res = bal.relax(pop1, pop2, channels, steps=2000, seed=3, rate=0.9,
-                    tol=1e-10)
+    res = bal.relax(pop1, pop2, channels, steps=2000, seed=3, tol=1e-10)
     quanta = np.array(res.quanta)
     assert np.max(np.abs(quanta - q0)) < 1e-9
     for pop, start in ((res.pop1, pop1), (res.pop2, pop2)):
@@ -322,7 +368,7 @@ def test_relax_nonconvergence_carries_partial_result():
     rng = np.random.default_rng(5)
     pop1, pop2 = bal.scramble(base1, base2, channels, rng)
     with pytest.raises(NonConvergence) as excinfo:
-        bal.relax(pop1, pop2, channels, steps=2, seed=5, rate=0.1, tol=1e-10)
+        bal.relax(pop1, pop2, channels, steps=2, seed=5, tol=1e-10)
     result = excinfo.value.result
     assert result.sweeps == 2
     assert len(result.max_residuals) == 2
@@ -354,6 +400,19 @@ def test_population_validation():
     with pytest.raises(OffGrid):
         pop, _ = stationary_pair()
         pop.bin_index(99.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["energies", "d_eps", "table"])
+def test_population_refuses_non_finite_fields(field, bad):
+    fields = {"energies": ENERGIES.copy(), "d_eps": 1.0,
+              "table": np.ones((2, BINS))}
+    if field == "d_eps":
+        fields[field] = bad
+    else:
+        fields[field][-1] = bad
+    with pytest.raises(ValueError):
+        bal.CondensatePopulation(1, **fields)
 
 
 @pytest.mark.parametrize("b,c1,c2", [(0.4, 0.1, 0.1), (0.05, 1.0, -1.0), (3.0, 0.0, 0.0)])

@@ -195,6 +195,15 @@ def test_balance_nonconvergence_exits_4_with_partial_sweeps(capsys):
     assert len(population.splitlines()) == 1 + 8 * 17
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--g0", "nan"), ("--g0", "inf"), ("--beta", "nan"), ("--mu", "inf")])
+def test_balance_non_finite_input_exits_2(capsys, flag, value):
+    code, text = _run(["balance", "--steps", "3", flag, value])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
 @pytest.mark.parametrize("stat", ["bose", "fermi"])
 def test_count_formula_matches_oracle(stat):
     for n in range(0, 6):
