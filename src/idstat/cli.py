@@ -143,25 +143,33 @@ def _state_from_json(raw) -> symmetry.NParticleState:
         raise ParseError(f"malformed state description: {exc}") from exc
 
 
+def _reprs(distinct: np.ndarray) -> np.ndarray:
+    return np.array(list(map(repr, distinct.tolist())), dtype=object)
+
+
 def _state_text(state: symmetry.NParticleState) -> str:
     """The state as ``json.dumps(..., indent=2, sort_keys=True)`` writes
     the object ``{"schema", "n", "terms": [{"coeff": [re, im], "modes"}]}``,
-    filled in from the state's arrays through one format template.
+    filled in from the state's arrays through one ``%s`` template.
 
-    Coefficient parts go through float.__repr__ as json writes finite
-    floats; a state's coefficients are finite.
+    Each distinct value is formatted once, as json writes it: coefficient
+    parts through float.__repr__, keyed by their float64 bit pattern so
+    that -0.0 keeps its sign (a state's coefficients are finite), and mode
+    ids through int.__repr__, keyed by value.
     """
     count, n = state.modes.shape
     head = f'{{\n  "n": {state.n},\n  "schema": {_STATE_SCHEMA},\n  "terms": ['
     if not count:
         return head + "]\n}"
-    modes = ("[\n" + ",\n".join(["        %d"] * n) + "\n      ]") if n else "[]"
-    term = ('    {\n      "coeff": [\n        %r,\n        %r\n      ],\n'
+    modes = ("[\n" + ",\n".join(["        %s"] * n) + "\n      ]") if n else "[]"
+    term = ('    {\n      "coeff": [\n        %s,\n        %s\n      ],\n'
             f'      "modes": {modes}\n    }}')
     values = np.empty((count, n + 2), dtype=object)
-    values[:, 0] = state.coeffs.real.tolist()
-    values[:, 1] = state.coeffs.imag.tolist()
-    values[:, 2:] = state.modes.tolist()
+    parts = np.column_stack([state.coeffs.real, state.coeffs.imag])
+    bits, index = np.unique(parts.view(np.int64), return_inverse=True)
+    values[:, :2] = _reprs(bits.view(float))[index.reshape(count, 2)]
+    ids, index = np.unique(state.modes, return_inverse=True)
+    values[:, 2:] = _reprs(ids)[index.reshape(count, n)]
     body = ",\n".join([term] * count) % tuple(values.ravel().tolist())
     return f"{head}\n{body}\n  ]\n}}"
 

@@ -7,8 +7,14 @@ complex coefficient.  A state holds its terms as two read-only arrays:
 (T complex).  Every operation here reads those arrays and forms its result
 through one merge: a stable lexicographic sort of the mode rows, then a
 sum of each distinct row's coefficients from 0j in input order, which is
-the arithmetic of a dict merge.  The ProductTerm objects of
-``state.terms`` are built from the arrays only when a caller reads them.
+the arithmetic of a dict merge.  The projectors expand and merge rank
+rows instead: each mode id is replaced by its rank among the input's
+distinct ids, in the smallest unsigned dtype that holds the ranks, and
+the n! permutations come from one int8 table.  Ranks keep the ids'
+order, so the sort, the groups and the sums are those of the id rows,
+and only the kept rows are mapped back to ids.  The ProductTerm objects
+of ``state.terms`` are built from the arrays only when a caller reads
+them.
 
 On this representation the module provides slot (label) and parameter
 permutations, the (anti)symmetrizer projectors
@@ -250,13 +256,19 @@ def _merge(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return ordered[starts], sums
 
 
-def _state(n: int, rows: np.ndarray, coeffs: np.ndarray) -> NParticleState:
-    """Canonical state of the mode rows and coefficients, merged in order."""
+def _state(n: int, rows: np.ndarray, coeffs: np.ndarray,
+           ids: np.ndarray | None = None) -> NParticleState:
+    """Canonical state of the mode rows and coefficients, merged in order.
+
+    With ids, the rows hold ranks into the sorted mode ids ``ids``, and
+    only the kept rows are mapped back to ids.
+    """
     rows, sums = _merge(rows, coeffs)
     if not np.isfinite(sums).all():
         raise ValueError("term coefficient must be finite")
     keep = np.abs(sums) > COEFF_DROP_TOL
-    return _fill(object.__new__(NParticleState), n, rows[keep], sums[keep], None)
+    rows = rows[keep] if ids is None else ids[rows[keep]]
+    return _fill(object.__new__(NParticleState), n, rows, sums[keep], None)
 
 
 def _canonical(n: int, raw_terms) -> NParticleState:
@@ -352,21 +364,29 @@ def permute_parameters(s: NParticleState, perm: Sequence[int]) -> NParticleState
 
 def _inverse_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of all n! permutations of 0..n-1, listed in lexicographic
-    order of the permutations, with their inversion counts.
+    order of the permutations, and the parity of each (1 for odd), as
+    int8 arrays.
 
-    The table is built by putting each first element f in front of the
-    permutations of the rest; f adds f inversions.  A permutation and its
-    inverse have the same count.
+    The permutations of size s are each first element f in front of the
+    permutations of the rest, renumbered past f.  So each inverse is the
+    inverse of the rest, shifted up by one, with 0 put in at position f,
+    and f adds f inversions; a permutation and its inverse have the same
+    parity.  The table is built on every call; at n = 8 that is about a
+    twentieth of a projector call, while a cached table would stay
+    resident for the life of the process.
     """
-    perms = np.zeros((1, 0), dtype=np.intp)
-    inversions = np.zeros(1, dtype=np.intp)
+    inverse = np.zeros((1, 0), dtype=np.int8)
+    parity = np.zeros(1, dtype=np.int8)
     for size in range(1, n + 1):
-        first = np.repeat(np.arange(size), len(perms))
-        rest = np.tile(perms, (size, 1))
-        rest += rest >= first[:, None]
-        perms = np.column_stack([first, rest])
-        inversions = first + np.tile(inversions, size)
-    return np.argsort(perms, axis=1), inversions
+        shifted = inverse + 1
+        inverse = np.empty((size, len(shifted), size), dtype=np.int8)
+        for f in range(size):
+            inverse[f, :, :f] = shifted[:, :f]
+            inverse[f, :, f] = 0
+            inverse[f, :, f + 1:] = shifted[:, f:]
+        inverse = inverse.reshape(-1, size)
+        parity = ((np.arange(size, dtype=np.int8)[:, None] + parity) & 1).ravel()
+    return inverse, parity
 
 
 def _projector(s: NParticleState, signed: bool) -> NParticleState:
@@ -387,18 +407,21 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
             raise TooLarge(
                 f"projecting {len(coeffs)} terms of {n} particles expands past "
                 f"{PROJECTOR_MAX_ROWS} rows")
-    inverse, inversions = _inverse_permutations(n)
+    inverse, parity = _inverse_permutations(n)
     factorial = math.factorial(n)
     # Row 0 holds c / n! and row 1 holds -c / n!, formed as (sign * c) / n!
     # in that order so that each matches the scalar arithmetic exactly.
     weights = np.array([[(sign * c) / factorial for c in coeffs.tolist()]
                         for sign in (1, -1)])
-    odd = inversions % 2 if signed else np.zeros_like(inversions)
+    odd = parity if signed else np.zeros_like(parity)
+    # Rank rows sort and group as the id rows do, in fewer bytes.
+    ids, ranks = np.unique(modes, return_inverse=True)
+    ranks = ranks.reshape(modes.shape).astype(np.min_scalar_type(len(ids) - 1))
     # Row p * len(coeffs) + i gives slot k the mode that term i had in slot
     # inverse[p, k], as P_p does: the order of a loop over permutations
     # outside a loop over terms.
-    expanded = modes[:, inverse].transpose(1, 0, 2).reshape(rows, n)
-    return _state(n, expanded, weights[odd].ravel())
+    expanded = ranks[:, inverse].transpose(1, 0, 2).reshape(rows, n)
+    return _state(n, expanded, weights[odd].ravel(), ids)
 
 
 def symmetrize(s: NParticleState) -> NParticleState:
@@ -524,48 +547,52 @@ def permanent(m) -> complex:
 
     perm(M) = (-1)^n sum over column subsets S of
     (-1)^|S| prod_i sum_{j in S} M[i, j].  The row sums of every subset
-    of the first k = min(n, 10) columns are built once by doubling, as a
-    (2^k, n) table; the remaining n - k columns are walked in Gray-code
-    order (Nijenhuis-Wilf), one column added or removed per step, and
-    each step takes one vectorized row product and one signed sum over
-    the 2^k low subsets.  Python steps drop from 2^n to 2^(n - k).
+    of the first k = min(n, 10) columns are built once by doubling, as an
+    (n, 2^k) table whose rows run over the 2^k low subsets; the remaining
+    n - k columns are walked in Gray-code order (Nijenhuis-Wilf), one
+    column added or removed per step.  Each step adds the high part of
+    the row sums to the table, multiplies its n rows together across the
+    2^k contiguous subset lanes, and takes one dot product with the
+    subsets' real signs.  Python steps drop from 2^n to 2^(n - k).
 
     Every row sum is rebuilt at each step from its low part, a sum of at
     most k entries, plus a high part carried through 2^(n - k) running
-    updates, not 2^n.  Over 20 seeds of scrambled J_n - I, J_n and
-    block-triangular references at n = 12..18 the largest miss was
-    1.1e-11 of perm(|M|).  Guarded to n <= 20.
+    updates, not 2^n.  Over seeds 0..19 of scrambled J_n - I, J_n and
+    block-triangular references at n = 12..18 (420 matrices) the largest
+    miss was 4.1e-12 of perm(|M|).  Guarded to n <= 20.
 
     Accuracy: each Ryser term is formed with about n roundings, so the
     error is about n * eps times the sum of the absolute Ryser terms,
     sum over S of |prod_i sum_{j in S} M[i, j]|.  Under cancellation that
     sum can be far larger than |perm(M)|, and so can the relative error:
     ``permanent(np.ones((20, 20)))`` misses 20! by 2.4e-7 of its value
-    (1.2e-8 at n = 17).
+    (1.3e-8 at n = 17).
     """
     m = _check_square(m)
     n = m.shape[0]
     if n > PERMANENT_MAX_N:
         raise TooLarge(f"permanent guarded to n <= {PERMANENT_MAX_N}, got {n}")
     k = min(n, _PERMANENT_LOW_COLUMNS)
-    low_sums = np.zeros((1 << k, n), dtype=complex)
-    low_signs = np.ones(1 << k, dtype=complex)
+    low_sums = np.zeros((n, 1 << k), dtype=complex)
+    low_signs = np.ones(1 << k)
     for j in range(k):
         half = 1 << j
-        low_sums[half:2 * half] = low_sums[:half] + m[:, j]
+        low_sums[:, half:2 * half] = low_sums[:, :half] + m[:, j:j + 1]
         low_signs[half:2 * half] = -low_signs[:half]
-    high_sum = np.zeros(n, dtype=complex)
-    total = (low_signs * np.prod(low_sums, axis=1)).sum()
+    high_sum = np.zeros((n, 1), dtype=complex)
+    row_sums = np.empty_like(low_sums)
+    total = low_signs @ np.prod(low_sums, axis=0)
     gray = 0
     for step in range(1, 1 << (n - k)):
         j = (step & -step).bit_length() - 1
         gray ^= 1 << j
         if gray & (1 << j):
-            high_sum += m[:, k + j]
+            high_sum += m[:, k + j:k + j + 1]
         else:
-            high_sum -= m[:, k + j]
+            high_sum -= m[:, k + j:k + j + 1]
+        np.add(low_sums, high_sum, out=row_sums)
         sign = -1 if gray.bit_count() % 2 else 1
-        total += sign * (low_signs * np.prod(low_sums + high_sum, axis=1)).sum()
+        total += sign * (low_signs @ np.prod(row_sums, axis=0))
     return complex((-1) ** n * total)
 
 

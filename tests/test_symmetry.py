@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from idstat import cli
@@ -264,12 +264,44 @@ def test_antisymmetrize_distinct_modes_not_zero():
     assert not sym.antisymmetrize(s).is_zero
 
 
+# 300 distinct ids in 60 terms: the ranks the projectors merge on need uint16.
+_RNG = np.random.default_rng(5)
+WIDE_IDS_STATE = sym._canonical(5, [(complex(*_RNG.normal(size=2)), tuple(row))
+                                    for row in _RNG.permutation(300).reshape(60, 5).tolist()])
+LOW_ID, HIGH_ID = -2**63, 2**63 - 1
+
+
 @given(states())
+@example(WIDE_IDS_STATE)
+@example(sym._canonical(4, [(0.5 - 1j, (LOW_ID, 3, HIGH_ID, -7)),
+                            (2.0, (HIGH_ID, HIGH_ID, -1, 0)),
+                            (-1.5j, (LOW_ID, LOW_ID, 5, -7)),
+                            (0.25, (-7, 0, 3, LOW_ID))]))
+# Every term is a rearrangement of one product, so each output row sums
+# one coefficient from every term; with these magnitudes the float sum
+# depends on its order.
+@example(sym._canonical(4, [(c, p + (7,)) for c, p in
+                            zip([1e16, 1.0, -1e16 + 3j, 0.5, 3.25e-3, -1.0 - 2e15j],
+                                itertools.permutations((4, 1, 9)))]))
 def test_projectors_match_reference_loop(s):
     # Same arithmetic in the same order: equal to the last bit and the
     # sign of zero, hence the repr comparison.
     assert repr(sym.symmetrize(s)) == repr(reference_projector(s, signed=False))
     assert repr(sym.antisymmetrize(s)) == repr(reference_projector(s, signed=True))
+
+
+def test_wide_ids_state_needs_uint16_ranks():
+    assert len(np.unique(WIDE_IDS_STATE.modes)) > 255
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_inverse_permutation_table(n):
+    perms = np.array(list(itertools.permutations(range(n))),
+                     dtype=np.intp).reshape(math.factorial(n), n)
+    inverse, parity = sym._inverse_permutations(n)
+    assert np.array_equal(inverse, np.argsort(perms, axis=1))
+    assert (1 - 2 * parity).tolist() == [sym.permutation_parity(p) for p in perms]
+    assert inverse.dtype == parity.dtype == np.int8
 
 
 def test_projector_size_guard():
@@ -654,7 +686,7 @@ def test_permanent_matches_naive_7x7():
     assert abs(sym.permanent(m) - expected) <= 1e-10 * abs(expected)
 
 
-@pytest.mark.parametrize("n", [10, 14])
+@pytest.mark.parametrize("n", [10, 11, 12, 14])
 def test_permanent_matches_exact_integer_ryser(n):
     rng = np.random.default_rng(n)
     for low in (-2, 0):
@@ -680,17 +712,19 @@ def test_permanent_of_ones_and_derangements(n):
 
 
 def test_permanent_block_triangular_factorizes():
-    rng = np.random.default_rng(12)
-    sizes = (3, 4, 5)
-    n = sum(sizes)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    edges = np.cumsum((0,) + sizes)
-    blocks = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m[hi:, lo:hi] = 0.0  # zero below each diagonal block
-        blocks.append(m[lo:hi, lo:hi])
-    expected = math.prod(naive_permanent(b) for b in blocks)
-    assert abs(sym.permanent(m) - expected) <= n * EPS * ryser_mass(m)
+    # At n = 13 there are ten tabulated columns and three walked in
+    # Gray-code order, with the last diagonal block straddling the two.
+    for sizes, seed in (((3, 4, 5), 12), ((4, 5, 4), 13)):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        edges = np.cumsum((0,) + sizes)
+        blocks = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            m[hi:, lo:hi] = 0.0  # zero below each diagonal block
+            blocks.append(m[lo:hi, lo:hi])
+        expected = math.prod(naive_permanent(b) for b in blocks)
+        assert abs(sym.permanent(m) - expected) <= n * EPS * ryser_mass(m)
 
 
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
