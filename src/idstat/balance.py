@@ -36,6 +36,8 @@ machine epsilon.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -56,6 +58,7 @@ __all__ = [
     "standard_channels",
     "scramble",
     "balance_residual",
+    "balance_residuals",
     "total_quanta",
     "packet_entropy",
     "stirling_entropy",
@@ -133,10 +136,25 @@ class CondensatePopulation:
         return self.energies.size
 
     def bin_index(self, eps: float) -> int:
-        j = int(round((eps - float(self.energies[0])) / self.d_eps))
-        if not 0 <= j < self.n_bins or abs(self.energies[j] - eps) > 1e-9 * self.d_eps:
+        """Index of the grid bin at energy eps.
+
+        eps must lie within 1e-9 * d_eps of a grid energy; otherwise, and
+        for NaN or infinite eps, :class:`OffGrid` is raised.
+        """
+        j, on_grid = self._bin_indices(np.asarray([eps], dtype=float))
+        if not on_grid[0]:
             raise OffGrid(f"energy {eps} is not on the population grid")
-        return j
+        return int(j[0])
+
+    def _bin_indices(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest grid index of every energy in eps, and whether each
+        lies on the grid (non-finite energies do not; their index is 0)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.rint((eps - self.energies[0]) / self.d_eps)
+        on_grid = np.isfinite(x) & (x >= 0) & (x < self.n_bins)
+        j = np.where(on_grid, x, 0).astype(np.intp)
+        on_grid &= np.abs(self.energies[j] - eps) <= 1e-9 * self.d_eps
+        return j, on_grid
 
     def check_totals(self, tol: float = TOTAL_DRIFT_TOL) -> None:
         totals = self.table.sum(axis=0) * self.d_eps
@@ -249,70 +267,52 @@ def standard_channels(energies, s_max1: int, s_max2: int) -> list[CollisionChann
     direct relaxation path; with only nearest-neighbor exchanges they die
     out diffusively.
     """
-    energies = np.asarray(energies, dtype=float)
-    e0 = float(energies[0])
-    m = energies.size
+    grid = np.asarray(energies, dtype=float).tolist()
+    e0 = grid[0]
+    m = len(grid)
+    # Fields by position (eps1_i, eps1_f, eps2_i, eps2_f, n, n_prime, s, r,
+    # s_prime, r_prime): keywords cost a quarter of the build.
     channels: list[CollisionChannel] = []
-    for e in energies:
-        for s in range(1, s_max1):
-            channels.append(CollisionChannel(
-                eps1_i=float(e), eps1_f=float(e), eps2_i=e0, eps2_f=e0,
-                n=1, n_prime=0, s=s, r=s, s_prime=0, r_prime=0,
-            ))
-        for s in range(1, s_max2):
-            channels.append(CollisionChannel(
-                eps1_i=e0, eps1_f=e0, eps2_i=float(e), eps2_f=float(e),
-                n=0, n_prime=1, s=0, r=0, s_prime=s, r_prime=s,
-            ))
+    for e in grid:
+        channels += [CollisionChannel(e, e, e0, e0, 1, 0, s, s, 0, 0)
+                     for s in range(1, s_max1)]
+        channels += [CollisionChannel(e0, e0, e, e, 0, 1, 0, 0, s, s)
+                     for s in range(1, s_max2)]
 
     def cross(i1: int, f1: int, i2: int, f2: int) -> CollisionChannel:
         return CollisionChannel(
-            eps1_i=float(energies[i1]), eps1_f=float(energies[f1]),
-            eps2_i=float(energies[i2]), eps2_f=float(energies[f2]),
+            eps1_i=grid[i1], eps1_f=grid[f1], eps2_i=grid[i2], eps2_f=grid[f2],
             n=1, n_prime=1, s=1, r=0, s_prime=1, r_prime=0,
         )
 
     h = 1
     while h < m:
-        for j in range(m - h):
-            channels.append(cross(j + h, j, j, j + h))
-        for j in range(m - 2 * h):
-            channels.append(cross(j + h, j, j + h, j + 2 * h))
+        channels += [cross(j + h, j, j, j + h) for j in range(m - h)]
+        channels += [cross(j + h, j, j + h, j + 2 * h) for j in range(m - 2 * h)]
         h *= 2
     return channels
 
 
-def _channel_indices(pop1: CondensatePopulation, pop2: CondensatePopulation,
-                     ch: CollisionChannel) -> tuple[int, int, int, int]:
-    defect = abs(ch.energy_defect())
-    if defect > 0.5 * pop1.d_eps:
-        raise OffGrid(
-            f"channel violates energy conservation by {defect:.3g} "
-            f"(> half a bin width)"
-        )
-    j1i = pop1.bin_index(ch.eps1_i)
-    j1f = pop1.bin_index(ch.eps1_f)
-    j2i = pop2.bin_index(ch.eps2_i)
-    j2f = pop2.bin_index(ch.eps2_f)
-    if ch.s - ch.n < 0 or ch.s_prime - ch.n_prime < 0:
-        raise OrderOverflow("losing slot would drop below order 0")
-    if ch.r + ch.n > pop1.s_max or ch.r_prime + ch.n_prime > pop2.s_max:
-        raise OrderOverflow("gaining slot would exceed s_max")
-    return j1i, j1f, j2i, j2f
+def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
+                      channels: Sequence[CollisionChannel]) -> np.ndarray:
+    """Forward product minus reverse product of every channel, in order;
+    each is zero at detailed balance.
+
+    The channels are checked first, in list order, and the first one that
+    does not fit the populations raises: :class:`OffGrid` if it violates
+    energy conservation by more than half a bin width or names an energy
+    off its population's grid (NaN and infinities included),
+    :class:`OrderOverflow` if a losing slot would drop below order 0 or a
+    gaining slot would exceed s_max.
+    """
+    return _residuals(pop1.table, pop2.table, _pack_channels(pop1, pop2, channels))
 
 
 def balance_residual(pop1: CondensatePopulation, pop2: CondensatePopulation,
                      ch: CollisionChannel) -> float:
     """Forward product minus reverse product for one channel; zero at
-    detailed balance."""
-    j1i, j1f, j2i, j2f = _channel_indices(pop1, pop2, ch)
-    p, q = pop1.table, pop2.table
-    forward = (p[ch.s, j1i] * p[ch.r, j1f]
-               * q[ch.s_prime, j2i] * q[ch.r_prime, j2f])
-    reverse = (p[ch.s - ch.n, j1i] * p[ch.r + ch.n, j1f]
-               * q[ch.s_prime - ch.n_prime, j2i]
-               * q[ch.r_prime + ch.n_prime, j2f])
-    return float(forward - reverse)
+    detailed balance.  Raises as ``balance_residuals`` does."""
+    return float(balance_residuals(pop1, pop2, [ch])[0])
 
 
 class QuantaCount(NamedTuple):
@@ -376,25 +376,27 @@ def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
     the same stationary form.
     """
     rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
-    p = pop1.table.copy()
-    q = pop2.table.copy()
+    # Python floats on nested lists: the same IEEE operations, in the same
+    # order, as numpy scalars, without their per-access cost.
+    p = pop1.table.tolist()
+    q = pop2.table.tolist()
     for _ in range(3):
-        for j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr in rows:
-            f = rng.uniform(-0.5, 0.5)
+        for f, (j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr) in zip(
+                rng.uniform(-0.5, 0.5, size=len(rows)).tolist(), rows):
             if f >= 0:
-                room = min(p[s, j1i], p[r, j1f], q[sp, j2i], q[rp, j2f])
+                room = min(p[s][j1i], p[r][j1f], q[sp][j2i], q[rp][j2f])
             else:
-                room = min(p[s - n, j1i], p[r + n, j1f],
-                           q[sp - npr, j2i], q[rp + npr, j2f])
+                room = min(p[s - n][j1i], p[r + n][j1f],
+                           q[sp - npr][j2i], q[rp + npr][j2f])
             move = f * room
-            p[s, j1i] -= move
-            p[s - n, j1i] += move
-            p[r, j1f] -= move
-            p[r + n, j1f] += move
-            q[sp, j2i] -= move
-            q[sp - npr, j2i] += move
-            q[rp, j2f] -= move
-            q[rp + npr, j2f] += move
+            p[s][j1i] -= move
+            p[s - n][j1i] += move
+            p[r][j1f] -= move
+            p[r + n][j1f] += move
+            q[sp][j2i] -= move
+            q[sp - npr][j2i] += move
+            q[rp][j2f] -= move
+            q[rp + npr][j2f] += move
     return (replace(pop1, table=np.maximum(p, 0.0)),
             replace(pop2, table=np.maximum(q, 0.0)))
 
@@ -416,13 +418,46 @@ class _ChannelArrays(NamedTuple):
 
 
 def _pack_channels(pop1, pop2, channels: Sequence[CollisionChannel]) -> _ChannelArrays:
-    cols = []
-    for ch in channels:
-        j1i, j1f, j2i, j2f = _channel_indices(pop1, pop2, ch)
-        cols.append((j1i, j1f, j2i, j2f, ch.s, ch.r, ch.s_prime, ch.r_prime,
-                     ch.n, ch.n_prime))
-    arr = np.asarray(cols, dtype=np.intp).reshape(len(cols), 10).T
-    return _ChannelArrays(*arr)
+    """Bin indices and orders of every channel, after checking them all.
+
+    The first channel in list order that fails a check raises; within a
+    channel the checks run as energy conservation, grid membership of
+    eps1_i, eps1_f, eps2_i, eps2_f, order underflow, order overflow.
+    """
+    fields = operator.attrgetter("eps1_i", "eps1_f", "eps2_i", "eps2_f",
+                                 "s", "r", "s_prime", "r_prime", "n", "n_prime")
+    cols = np.fromiter(itertools.chain.from_iterable(map(fields, channels)),
+                       dtype=float, count=10 * len(channels))
+    cols = cols.reshape(len(channels), 10).T
+    s, r, sp, rp, n, npr = cols[4:].astype(np.intp)
+    j1, on_grid1 = pop1._bin_indices(cols[0:2])
+    j2, on_grid2 = pop2._bin_indices(cols[2:4])
+    on_grid = np.concatenate([on_grid1, on_grid2])   # rows eps1_i .. eps2_f
+
+    # ch.energy_defect() per channel; NaN from non-finite energies is left
+    # for the grid test to report
+    e1i, e1f, e2i, e2f = cols[:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = cols[8] * (e1i - e1f) - cols[9] * (e2f - e2i)
+    unbalanced = np.abs(defect) > 0.5 * pop1.d_eps
+    off_grid = ~on_grid.all(axis=0)
+    underflow = (s - n < 0) | (sp - npr < 0)
+    overflow = (r + n > pop1.s_max) | (rp + npr > pop2.s_max)
+    bad = unbalanced | off_grid | underflow | overflow
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if unbalanced[k]:
+            raise OffGrid(
+                f"channel violates energy conservation by {abs(float(defect[k])):.3g} "
+                f"(> half a bin width)"
+            )
+        if off_grid[k]:
+            eps = fields(channels[k])[int(np.argmin(on_grid[:, k]))]
+            raise OffGrid(f"energy {eps} is not on the population grid")
+        if underflow[k]:
+            raise OrderOverflow("losing slot would drop below order 0")
+        raise OrderOverflow("gaining slot would exceed s_max")
+    return _ChannelArrays(*j1, *j2, s, r, sp, rp, n, npr)
 
 
 def _products(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays):
@@ -463,34 +498,41 @@ def _is_within_bin(ca: _ChannelArrays) -> np.ndarray:
     return side1 & side2
 
 
-def _conflict_free_batches(ca: _ChannelArrays, n_channels: int) -> list[np.ndarray]:
+def _conflict_free_batches(ca: _ChannelArrays) -> list[np.ndarray]:
     """Greedy grouping of channels so no two in a batch share a table slot.
 
+    Each channel joins the lowest batch that none of its slots is in yet.
     Within a batch the accumulated update equals applying the channels one
     at a time, so the per-channel Newton step needs no extra damping.
     """
+    n_channels = len(ca.n)
+    if n_channels == 0:
+        return []
+    # Number every (species, order, bin) slot; a side that moves no quanta
+    # takes a slot of its own channel instead, which nothing else shares.
+    width = 1 + max(int(col.max()) for col in ca[:4])
+    height = 1 + max(int(col.max()) for col in (ca.s, ca.r + ca.n, ca.sp, ca.rp + ca.npr))
+    spare = 2 * width * height + np.arange(n_channels)
+    side1 = [np.where(ca.n > 0, order * width + j, spare)
+             for order, j in ((ca.s, ca.j1i), (ca.s - ca.n, ca.j1i),
+                              (ca.r, ca.j1f), (ca.r + ca.n, ca.j1f))]
+    side2 = [np.where(ca.npr > 0, (height + order) * width + j, spare)
+             for order, j in ((ca.sp, ca.j2i), (ca.sp - ca.npr, ca.j2i),
+                              (ca.rp, ca.j2f), (ca.rp + ca.npr, ca.j2f))]
+    # masks[k] has bit b set once batch b holds a channel using slot k
+    masks = [0] * (2 * width * height + n_channels)
     batches: list[list[int]] = []
-    batch_slots: list[set] = []
-    for i in range(n_channels):
-        slots = set()
-        if ca.n[i] > 0:
-            slots.update([(1, int(ca.s[i]), int(ca.j1i[i])),
-                          (1, int(ca.s[i] - ca.n[i]), int(ca.j1i[i])),
-                          (1, int(ca.r[i]), int(ca.j1f[i])),
-                          (1, int(ca.r[i] + ca.n[i]), int(ca.j1f[i]))])
-        if ca.npr[i] > 0:
-            slots.update([(2, int(ca.sp[i]), int(ca.j2i[i])),
-                          (2, int(ca.sp[i] - ca.npr[i]), int(ca.j2i[i])),
-                          (2, int(ca.rp[i]), int(ca.j2f[i])),
-                          (2, int(ca.rp[i] + ca.npr[i]), int(ca.j2f[i]))])
-        for b, used in zip(batches, batch_slots):
-            if not (slots & used):
-                b.append(i)
-                used |= slots
-                break
-        else:
-            batches.append([i])
-            batch_slots.append(set(slots))
+    for i, slots in enumerate(zip(*(col.tolist() for col in side1 + side2))):
+        used = 0
+        for k in slots:
+            used |= masks[k]
+        free = ~used & (used + 1)        # lowest clear bit
+        for k in slots:
+            masks[k] |= free
+        b = free.bit_length() - 1
+        if b == len(batches):
+            batches.append([])
+        batches[b].append(i)
     return [np.asarray(b, dtype=np.intp) for b in batches]
 
 
@@ -571,6 +613,18 @@ def _equilibrate_ladders(table: np.ndarray, lx: np.ndarray,
     table[1] += defect
 
 
+def _mean_order_lx(table: np.ndarray) -> np.ndarray:
+    """ln(m / (1 + m)) per column, m the column's mean order: the log ratio
+    of the unbounded geometric ladder with that mean, clipped to the ladder
+    solve's bracket.  It starts each ladder solve near its own root, where
+    a flat start would need about one Newton step per unit of ln ratio."""
+    s = np.arange(table.shape[0], dtype=float)
+    mean = (s @ table) / np.maximum(table.sum(axis=0), 1e-300)
+    with np.errstate(divide="ignore"):
+        lx = np.log(mean) - np.log1p(mean)
+    return np.clip(lx, -_LX_BOUND, _LX_BOUND)
+
+
 class RelaxResult(NamedTuple):
     pop1: CondensatePopulation
     pop2: CondensatePopulation
@@ -614,13 +668,12 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     ca_all = ca_all.take(order)
     within = _is_within_bin(ca_all)
     ca_inter = ca_all.take(np.flatnonzero(~within))
-    batches = [ca_inter.take(idx) for idx in
-               _conflict_free_batches(ca_inter, int((~within).sum()))]
+    batches = [ca_inter.take(idx) for idx in _conflict_free_batches(ca_inter)]
 
     p = pop1.table.copy()
     q = pop2.table.copy()
-    lx1 = np.full(pop1.n_bins, -0.5)
-    lx2 = np.full(pop2.n_bins, -0.5)
+    lx1 = _mean_order_lx(p)
+    lx2 = _mean_order_lx(q)
 
     max_residuals: list[float] = []
     entropies: list[float] = []

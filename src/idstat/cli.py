@@ -331,7 +331,7 @@ def _cmd_selftest(args, cfg: Config, out) -> int:
     pop = balance.stationary_population(lambda e: 6.0, 1.0, 0.2, energies, 1.0,
                                         s_max=40)
     channels = balance.standard_channels(energies, 40, 40)
-    worst = max(abs(balance.balance_residual(pop, pop, ch)) for ch in channels)
+    worst = float(np.max(np.abs(balance.balance_residuals(pop, pop, channels))))
     check("stationary population balances every channel", worst < 1e-12)
 
     return 1 if failures else 0

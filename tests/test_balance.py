@@ -76,8 +76,9 @@ def test_stationary_divergent_series():
 def test_balance_residual_zero_at_stationary():
     pop1, pop2 = stationary_pair()
     channels = bal.standard_channels(ENERGIES, SMAX, SMAX)
-    worst = max(abs(bal.balance_residual(pop1, pop2, ch)) for ch in channels)
-    assert worst < 1e-12
+    residuals = bal.balance_residuals(pop1, pop2, channels)
+    assert np.max(np.abs(residuals)) < 1e-12
+    assert residuals.tolist() == [reference_residual(pop1, pop2, ch) for ch in channels]
 
 
 def test_balance_residual_identity_channel():
@@ -99,25 +100,111 @@ def test_balance_residual_detects_perturbation():
     assert abs(bal.balance_residual(perturbed, pop2, ch)) > 1e-3
 
 
+# Channels that do not fit stationary_pair(): (error, fields), each failing
+# the check named; the last three fail two checks and must report the first
+# in the order energy defect, off-grid, order underflow, order overflow.
+BAD_CHANNELS = [
+    (OffGrid, dict(eps1_i=2.5, eps1_f=2.5)),                        # off grid
+    (OffGrid, dict(eps1_i=4.0, eps1_f=1.0, eps2_f=2.0, n_prime=1,   # defect
+                   r=0, s_prime=1)),
+    (OrderOverflow, dict(s=SMAX, r=SMAX)),                          # overflow
+    (OrderOverflow, dict(n=2, r=3)),                                # underflow
+    (OffGrid, dict(eps1_i=4.5, eps1_f=1.0, eps2_f=2.0, n_prime=1,   # defect, off grid
+                   r=0, s_prime=1)),
+    (OffGrid, dict(eps2_f=99.0, n=2)),                              # off grid, underflow
+    (OrderOverflow, dict(n=2, s=1, r=SMAX)),                        # underflow, overflow
+]
+
+
+def channel(**fields):
+    """A within-bin species-1 channel at eps 2, with the given fields changed."""
+    base = dict(eps1_i=2.0, eps1_f=2.0, eps2_i=1.0, eps2_f=1.0,
+                n=1, n_prime=0, s=1, r=1, s_prime=0, r_prime=0)
+    return bal.CollisionChannel(**{**base, **fields})
+
+
+def reference_bin_index(pop, eps):
+    j = int(round((eps - float(pop.energies[0])) / pop.d_eps))
+    if not 0 <= j < pop.n_bins or abs(pop.energies[j] - eps) > 1e-9 * pop.d_eps:
+        raise OffGrid(f"energy {eps} is not on the population grid")
+    return j
+
+
+def reference_channel_indices(pop1, pop2, ch):
+    """Bin indices of one channel, checked one field at a time."""
+    defect = abs(ch.energy_defect())
+    if defect > 0.5 * pop1.d_eps:
+        raise OffGrid(
+            f"channel violates energy conservation by {defect:.3g} "
+            f"(> half a bin width)"
+        )
+    j1i = reference_bin_index(pop1, ch.eps1_i)
+    j1f = reference_bin_index(pop1, ch.eps1_f)
+    j2i = reference_bin_index(pop2, ch.eps2_i)
+    j2f = reference_bin_index(pop2, ch.eps2_f)
+    if ch.s - ch.n < 0 or ch.s_prime - ch.n_prime < 0:
+        raise OrderOverflow("losing slot would drop below order 0")
+    if ch.r + ch.n > pop1.s_max or ch.r_prime + ch.n_prime > pop2.s_max:
+        raise OrderOverflow("gaining slot would exceed s_max")
+    return j1i, j1f, j2i, j2f
+
+
+def reference_residual(pop1, pop2, ch):
+    j1i, j1f, j2i, j2f = reference_channel_indices(pop1, pop2, ch)
+    p, q = pop1.table, pop2.table
+    forward = (p[ch.s, j1i] * p[ch.r, j1f]
+               * q[ch.s_prime, j2i] * q[ch.r_prime, j2f])
+    reverse = (p[ch.s - ch.n, j1i] * p[ch.r + ch.n, j1f]
+               * q[ch.s_prime - ch.n_prime, j2i]
+               * q[ch.r_prime + ch.n_prime, j2f])
+    return float(forward - reverse)
+
+
+def reference_error(call):
+    with pytest.raises(Exception) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
 def test_channel_errors():
     pop1, pop2 = stationary_pair()
+    good = bal.standard_channels(ENERGIES, SMAX, SMAX)[::97]
+    for error, fields in BAD_CHANNELS:
+        bad = channel(**fields)
+        want = reference_error(lambda: reference_channel_indices(pop1, pop2, bad))
+        assert want[0] is error
+        assert reference_error(lambda: bal.balance_residual(pop1, pop2, bad)) == want
+    # in a mixed list the first bad channel in list order raises
+    for (_, first), (_, second) in itertools.permutations(BAD_CHANNELS, 2):
+        mixed = good[:3] + [channel(**first)] + good[3:5] + [channel(**second)] + good[5:]
+        want = reference_error(lambda: [reference_channel_indices(pop1, pop2, ch)
+                                        for ch in mixed])
+        assert reference_error(lambda: bal.balance_residuals(pop1, pop2, mixed)) == want
+        assert reference_error(lambda: bal._pack_channels(pop1, pop2, mixed)) == want
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_non_finite_energy_is_off_grid(eps):
+    pop1, pop2 = stationary_pair()
     with pytest.raises(OffGrid):
-        bal.balance_residual(pop1, pop2, bal.CollisionChannel(
-            eps1_i=2.5, eps1_f=2.5, eps2_i=1.0, eps2_f=1.0,
-            n=1, n_prime=0, s=1, r=1, s_prime=0, r_prime=0))
-    with pytest.raises(OffGrid):
-        # violates energy conservation by more than half a bin
-        bal.balance_residual(pop1, pop2, bal.CollisionChannel(
-            eps1_i=4.0, eps1_f=1.0, eps2_i=1.0, eps2_f=2.0,
-            n=1, n_prime=1, s=1, r=0, s_prime=1, r_prime=0))
-    with pytest.raises(OrderOverflow):
-        bal.balance_residual(pop1, pop2, bal.CollisionChannel(
-            eps1_i=2.0, eps1_f=2.0, eps2_i=1.0, eps2_f=1.0,
-            n=1, n_prime=0, s=SMAX, r=SMAX, s_prime=0, r_prime=0))
-    with pytest.raises(OrderOverflow):
-        bal.balance_residual(pop1, pop2, bal.CollisionChannel(
-            eps1_i=2.0, eps1_f=2.0, eps2_i=1.0, eps2_f=1.0,
-            n=2, n_prime=0, s=1, r=3, s_prime=0, r_prime=0))
+        pop1.bin_index(eps)
+    for fields in (dict(eps1_i=eps), dict(eps1_i=eps, eps1_f=eps), dict(eps2_f=eps)):
+        with pytest.raises(OffGrid):
+            bal.balance_residual(pop1, pop2, channel(**fields))
+
+
+def test_pack_channels_matches_reference_loop():
+    for bins, s_max in ((BINS, SMAX), (32, 64)):
+        energies = np.arange(1.0, bins + 1.0)
+        pop1, pop2 = (bal.stationary_population(g_const, 1.0, 0.0, energies, 1.0,
+                                                s_max=s_max, kind=kind) for kind in (1, 2))
+        channels = bal.standard_channels(energies, s_max, s_max)
+        ca = bal._pack_channels(pop1, pop2, channels)
+        want = [reference_channel_indices(pop1, pop2, ch)
+                + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime)
+                for ch in channels]
+        assert all(col.dtype == np.intp for col in ca)
+        assert list(zip(*(col.tolist() for col in ca))) == want
 
 
 def test_total_quanta_edge_cases():
@@ -283,10 +370,11 @@ def test_equilibrate_ladders_leaves_columns_without_a_finite_root():
     assert np.array_equal(lx, np.full(3, -0.5))
 
 
-@pytest.mark.parametrize("b", [1.0, 3.0])
+@pytest.mark.parametrize("b", [1.0, 3.0, 3.5, 4.0, 6.0])
 def test_relax_keeps_exact_pair_on_steep_grid(b):
     # on the 32-bin, s_max-64 grid the high bins' mean orders reach e^-32
-    # (b 1) and e^-96 (b 3); every representable slot must stay put
+    # (b 1) to e^-192 (b 6); every representable slot must stay put, which
+    # needs each ladder solve to start near its own root
     energies = np.arange(1.0, 33.0)
     pops = [bal.stationary_population(g_const, b, 0.0, energies, 1.0, s_max=64,
                                       kind=kind) for kind in (1, 2)]
@@ -500,3 +588,129 @@ def test_wide_grid_entropy_never_falls_past_roundoff(seed):
     _, _, res = _relaxed_cli_toy(32, 64, 300, seed)
     scale = _stirling_scale(res.pop1) + _stirling_scale(res.pop2)
     assert np.all(np.diff(res.entropies) >= -16 * np.finfo(float).eps * scale)
+
+
+def reference_standard_channels(energies, s_max1, s_max2):
+    energies = np.asarray(energies, dtype=float)
+    e0 = float(energies[0])
+    m = energies.size
+    channels = []
+    for e in energies:
+        for s in range(1, s_max1):
+            channels.append(bal.CollisionChannel(
+                eps1_i=float(e), eps1_f=float(e), eps2_i=e0, eps2_f=e0,
+                n=1, n_prime=0, s=s, r=s, s_prime=0, r_prime=0,
+            ))
+        for s in range(1, s_max2):
+            channels.append(bal.CollisionChannel(
+                eps1_i=e0, eps1_f=e0, eps2_i=float(e), eps2_f=float(e),
+                n=0, n_prime=1, s=0, r=0, s_prime=s, r_prime=s,
+            ))
+
+    def cross(i1, f1, i2, f2):
+        return bal.CollisionChannel(
+            eps1_i=float(energies[i1]), eps1_f=float(energies[f1]),
+            eps2_i=float(energies[i2]), eps2_f=float(energies[f2]),
+            n=1, n_prime=1, s=1, r=0, s_prime=1, r_prime=0,
+        )
+
+    h = 1
+    while h < m:
+        for j in range(m - h):
+            channels.append(cross(j + h, j, j, j + h))
+        for j in range(m - 2 * h):
+            channels.append(cross(j + h, j, j + h, j + 2 * h))
+        h *= 2
+    return channels
+
+
+def reference_scramble(pop1, pop2, channels, rng):
+    """Three rounds of one scalar draw and one numpy-scalar move per channel."""
+    rows = [reference_channel_indices(pop1, pop2, ch)
+            + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime) for ch in channels]
+    p = pop1.table.copy()
+    q = pop2.table.copy()
+    for _ in range(3):
+        for j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr in rows:
+            f = rng.uniform(-0.5, 0.5)
+            if f >= 0:
+                room = min(p[s, j1i], p[r, j1f], q[sp, j2i], q[rp, j2f])
+            else:
+                room = min(p[s - n, j1i], p[r + n, j1f],
+                           q[sp - npr, j2i], q[rp + npr, j2f])
+            move = f * room
+            p[s, j1i] -= move
+            p[s - n, j1i] += move
+            p[r, j1f] -= move
+            p[r + n, j1f] += move
+            q[sp, j2i] -= move
+            q[sp - npr, j2i] += move
+            q[rp, j2f] -= move
+            q[rp + npr, j2f] += move
+    return np.maximum(p, 0.0), np.maximum(q, 0.0)
+
+
+def reference_conflict_free_batches(ca):
+    """First-fit grouping by a scan over every batch's set of slots."""
+    batches, batch_slots = [], []
+    for i in range(len(ca.n)):
+        slots = set()
+        if ca.n[i] > 0:
+            slots.update([(1, int(ca.s[i]), int(ca.j1i[i])),
+                          (1, int(ca.s[i] - ca.n[i]), int(ca.j1i[i])),
+                          (1, int(ca.r[i]), int(ca.j1f[i])),
+                          (1, int(ca.r[i] + ca.n[i]), int(ca.j1f[i]))])
+        if ca.npr[i] > 0:
+            slots.update([(2, int(ca.sp[i]), int(ca.j2i[i])),
+                          (2, int(ca.sp[i] - ca.npr[i]), int(ca.j2i[i])),
+                          (2, int(ca.rp[i]), int(ca.j2f[i])),
+                          (2, int(ca.rp[i] + ca.npr[i]), int(ca.j2f[i]))])
+        for b, used in zip(batches, batch_slots):
+            if not (slots & used):
+                b.append(i)
+                used |= slots
+                break
+        else:
+            batches.append([i])
+            batch_slots.append(set(slots))
+    return batches
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("s_max", [1, 2, 16, 64])
+def test_standard_channels_match_reference_loop(bins, s_max):
+    energies = np.arange(1.0, bins + 1.0)
+    got = bal.standard_channels(energies, s_max, s_max)
+    want = reference_standard_channels(energies, s_max, s_max)
+    assert got == want
+    assert [tuple(map(type, vars(ch).values())) for ch in got] == \
+        [tuple(map(type, vars(ch).values())) for ch in want]
+
+
+@pytest.mark.parametrize("bins,s_max,seed", [(8, 16, 0), (8, 16, 7), (32, 64, 3), (1, 4, 0)])
+def test_scramble_and_batches_match_reference_loops(bins, s_max, seed):
+    # one bin has no inter-bin channel: relax then runs no batch
+    energies = np.arange(1.0, bins + 1.0)
+    pops = [bal.stationary_population(lambda e: 6.0, 1.0, 0.0, energies, 1.0,
+                                      s_max=s_max, kind=kind) for kind in (1, 2)]
+    channels = bal.standard_channels(energies, s_max, s_max)
+    got = bal.scramble(*pops, channels, np.random.default_rng(seed))
+    want = reference_scramble(*pops, channels, np.random.default_rng(seed))
+    for pop, table in zip(got, want):
+        assert pop.table.tobytes() == table.tobytes()
+
+    # every channel, and the inter-bin channels in relax's order
+    ca = bal._pack_channels(*got, channels)
+    ca = ca.take(np.random.default_rng(seed).permutation(len(channels)))
+    # and random slots: losing orders up to s_max, gaining orders below 4,
+    # transfers of 0, 1 or 2 quanta
+    rng = np.random.default_rng(seed)
+    n, npr = rng.integers(0, 3, size=(2, 300))
+    s, sp = (k + rng.integers(0, s_max - 1, size=300) for k in (n, npr))
+    r, rp = rng.integers(0, 2, size=(2, 300))
+    mixed = bal._ChannelArrays(*rng.integers(0, bins, size=(4, 300)),
+                               s, r, sp, rp, n, npr)
+    for sub in (ca, ca.take(np.flatnonzero(~bal._is_within_bin(ca))), mixed):
+        batches = bal._conflict_free_batches(sub)
+        assert all(b.dtype == np.intp for b in batches)
+        assert [b.tolist() for b in batches] == reference_conflict_free_batches(sub)

@@ -286,8 +286,18 @@ LOW_ID, HIGH_ID = -2**63, 2**63 - 1
 def test_projectors_match_reference_loop(s):
     # Same arithmetic in the same order: equal to the last bit and the
     # sign of zero, hence the repr comparison.
-    assert repr(sym.symmetrize(s)) == repr(reference_projector(s, signed=False))
-    assert repr(sym.antisymmetrize(s)) == repr(reference_projector(s, signed=True))
+    assert_same_terms(sym.symmetrize(s), reference_projector(s, signed=False))
+    assert_same_terms(sym.antisymmetrize(s), reference_projector(s, signed=True))
+
+
+def assert_same_terms(got, want):
+    """repr-equal states, compared term by term: a failure names the first
+    differing term instead of diffing the reprs of whole states."""
+    assert got.n == want.n
+    for k, (a, b) in enumerate(itertools.zip_longest(got.terms, want.terms)):
+        if repr(a) != repr(b):
+            pytest.fail(f"term {k} (of {len(got.terms)} vs {len(want.terms)}): "
+                        f"{a!r} != {b!r}")
 
 
 def test_wide_ids_state_needs_uint16_ranks():
