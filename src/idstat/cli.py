@@ -306,7 +306,7 @@ def _cmd_selftest(args, cfg: Config, out) -> int:
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         naive = m[np.arange(5), perms].prod(axis=1).sum()
         ok_perm &= abs(symmetry.permanent(m) - naive) <= 1e-10 * max(1.0, abs(naive))
-    check("ryser permanent matches naive sum", ok_perm)
+    check("glynn permanent matches naive sum", ok_perm)
 
     check("exchange phase is (-1)^(2s)", all(
         abs(spinstat.exchange_phase(s, 0.3, 2.1) - (-1.0) ** int(round(2 * s))) < 1e-12

@@ -530,6 +530,95 @@ def test_projector_size_guard_allocates_nothing():
     assert peak < 1 << 20
 
 
+# -- the packed merge key ------------------------------------------------------
+
+
+def wide_terms(seed: int, n: int, n_ids: int, n_rows: int):
+    """(coeff, modes) terms over a pool of n_ids int64 ids spread over the
+    whole range.  Some rows repeat, and some differ from another row only
+    in the last slot, so that only the last slot's word tells them apart."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(np.iinfo(np.int64).max, n_ids, replace=False) * rng.choice(
+        [-1, 1], n_ids)
+    rows = rng.choice(pool, size=(n_rows, n)).tolist()
+    rows += rows[:5] + [r[:-1] + [int(x)] for r, x in zip(rows[5:15], pool)]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return [(c, tuple(r)) for c, r in zip(coeffs.tolist(), rows)]
+
+
+@pytest.mark.parametrize("n, n_ids", [(8, 200), (9, 160)])
+def test_packed_key_with_wide_ranks_matches_reference_dict_merge(n, n_ids):
+    # n = 8 with 129..256 ids: 8-bit ranks fill all 64 bits of one word, so
+    # a slot-0 rank of 128 or more sets the top bit.  n = 9: a second word.
+    raw_a, raw_b = wide_terms(1, n, n_ids, 40), wide_terms(2, n, n_ids, 40)
+    a, b = sym._canonical(n, raw_a), sym._canonical(n, raw_b)
+    assert 129 <= len(np.unique(a.modes)) <= 256
+    # b2 holds a's terms with the last slot of its first row changed.
+    row = a.terms[0].modes
+    b2 = sym._canonical(n, [(t.coeff, t.modes) for t in a.terms[1:]]
+                        + [(a.terms[0].coeff, row[:-1] + (row[0],))])
+    perm = tuple(np.random.default_rng(n).permutation(n).tolist())
+    pairs = [
+        (a, reference_canonical(n, raw_a)),
+        (b, reference_canonical(n, raw_b)),
+        (sym.add(a, b), reference_add(a, b)),
+        (sym.scale(a, 0.5 - 2j), reference_scale(a, 0.5 - 2j)),
+        (sym.permute_labels(a, perm), reference_permute_labels(a, perm)),
+    ]
+    for got, want in pairs:
+        assert_same_terms(got, want)
+        assert_canonical_arrays(got)
+    for other in (a, b, b2):
+        for tol in (1e-12, 0.5):
+            assert sym.states_close(a, other, tol) == reference_states_close(a, other, tol)
+    assert not sym.states_close(a, b2)
+
+
+def test_packed_key_two_words_through_projectors():
+    # 5 slots of 13-bit ranks (4097..8192 ids) take 65 bits: two words.
+    # 820 terms of 5 distinct ids, then rearrangements of some terms (they
+    # merge under the projectors) and terms sharing four ids with another.
+    rng = np.random.default_rng(11)
+    rows = (rng.choice(np.iinfo(np.int64).max, 4100, replace=False)
+            - (1 << 62)).reshape(820, 5).tolist()
+    rows += [[r[k] for k in rng.permutation(5)] for r in rows[:60]]
+    rows += [r[:4] + [s[0]] for r, s in zip(rows[60:120], rows[120:180])]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    raw = list(zip(coeffs.tolist(), map(tuple, rows)))
+    s = reference_canonical(5, raw)
+    assert len(s.terms) >= 820 and len(np.unique(s.modes)) >= 4097
+    for got, want in ((sym._canonical(5, raw), s),
+                      (sym.symmetrize(s), reference_projector(s, signed=False))):
+        # Bit-equal arrays: the repr comparison, without 100k reprs.
+        assert np.array_equal(got.modes, want.modes)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_packed_key_with_no_slots_and_the_zero_state():
+    raw = [(1.5 - 2j, ()), (0.25j, ()), (-1.5, ())]
+    s, other = sym._canonical(0, raw), sym._canonical(0, [(2.0, ())])
+    pairs = [
+        (s, reference_canonical(0, raw)),
+        (sym.add(s, other), reference_add(s, other)),
+        (sym.scale(s, 2j), reference_scale(s, 2j)),
+        (sym.permute_labels(s, ()), reference_permute_labels(s, ())),
+        (sym.symmetrize(s), reference_projector(s, signed=False)),
+        (sym.antisymmetrize(s), reference_projector(s, signed=True)),
+    ]
+    for got, want in pairs:
+        assert repr(got) == repr(want)
+        assert_canonical_arrays(got)
+    for tol in (1e-12, 2.0):
+        assert sym.states_close(s, other, tol) == reference_states_close(s, other, tol)
+    zero = sym.zero_state(3)
+    p = sym.product_state((4, -1, 4), 0.5j)
+    for got in (sym._canonical(3, []), sym.add(zero, zero), sym.scale(zero, 2.0),
+                sym.permute_labels(zero, (2, 0, 1)), sym.symmetrize(zero),
+                sym.antisymmetrize(zero), sym.add(p, sym.scale(p, -1))):
+        assert got == zero and got.modes.shape == (0, 3)
+        assert_canonical_arrays(got)
+    assert sym.states_close(zero, zero) and not sym.states_close(zero, p)
+
 
 # -- scalar products -----------------------------------------------------------
 
@@ -752,6 +841,23 @@ def test_permanent_invariant_under_permutation_and_scaling(n, seed):
 def test_permanent_sizes_zero_and_one():
     assert sym.permanent(np.zeros((0, 0))) == 1.0
     assert sym.permanent(np.array([[2.5 - 1j]])) == 2.5 - 1j
+
+
+def test_permanent_of_empty_matrix_is_exactly_one():
+    value = sym.permanent(np.zeros((0, 0)))
+    assert type(value) is complex and value == 1 and repr(value) == "(1+0j)"
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_permanent_of_ones_and_derangements_to_1e12(n):
+    # Glynn's signed row sums of J_n and J_n - I are small integers, so
+    # only the products round.
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    ones = np.ones((n, n))
+    assert abs(sym.permanent(ones) - math.factorial(n)) <= 1e-12 * math.factorial(n)
+    assert abs(sym.permanent(ones - np.eye(n)) - d[n]) <= 1e-12 * d[n]
 
 
 def test_determinant_matches_naive():
