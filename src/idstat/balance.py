@@ -222,13 +222,16 @@ def stationary_population(g_fn, b: float, c: float, energies,
     a(eps) through sum_s p(s, eps) d_eps = g_p.  b = 1/kT must be
     positive.  s_max = None requests the unbounded Bose ladder: it needs
     b*eps - c > 0 on the whole grid and is realized with a finite table
-    whose truncated tail mass is checked against 1e-12.
+    whose truncated tail mass is checked against 1e-12.  An empty energy
+    grid raises ValueError.
     """
     if not (np.isfinite(b) and np.isfinite(c)):
         raise ValueError(f"b and c must be finite, got b = {b}, c = {c}")
     if b <= 0:
         raise ValueError(f"b = 1/kT must be positive, got {b}")
     energies = np.asarray(energies, dtype=float)
+    if energies.size == 0:
+        raise ValueError("the energy grid is empty; a population needs at least one bin")
     exponent = b * energies - c
     if s_max is None:
         if np.any(exponent <= 0):

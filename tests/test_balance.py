@@ -490,6 +490,12 @@ def test_population_validation():
         pop.bin_index(99.0)
 
 
+@pytest.mark.parametrize("s_max", [4, None])
+def test_stationary_population_refuses_empty_grid(s_max):
+    with pytest.raises(ValueError, match="energy grid is empty"):
+        bal.stationary_population(g_const, 1.0, 0.0, np.array([]), 1.0, s_max=s_max)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["energies", "d_eps", "table"])
 def test_population_refuses_non_finite_fields(field, bad):

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -204,6 +205,27 @@ def test_balance_non_finite_input_exits_2(capsys, flag, value):
     assert capsys.readouterr().err.startswith("error: ValueError:")
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_balance_empty_grid_exits_2(capsys, bins):
+    code, text = _run(["balance", "--bins", bins])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:")
+    assert "energy grid is empty" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_evolve_without_time_samples_exits_2(capsys, samples):
+    code, text = _run(["evolve", "--t-samples", samples])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: --t-samples must be at least 1")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("stat", ["bose", "fermi"])
 def test_count_formula_matches_oracle(stat):
     for n in range(0, 6):
@@ -323,11 +345,20 @@ def tables(draw):
     return [f"c{k}" for k in range(len(kinds))], columns
 
 
+# Seven floats that format apart although some compare equal (0.0, -0.0)
+# or unequal to themselves (two NaN bit patterns).  A 28-row column that
+# repeats or tiles them has a quarter as many distinct values as rows, so
+# it is formatted once per distinct value.
+_SPECIAL_FLOATS = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324])
+
+
 @given(tables())
 @example((["t", "s", "p"], [np.array([-0.0, math.nan, math.inf]),
                             np.array([0, -3, 2**62]),
                             np.array([1e-300, 1e300, -math.inf])]))
 @example((["a", "b"], [np.array([], dtype=float), np.array([], dtype=np.int64)]))
+@example((["t", "x", "s"], [np.repeat(_SPECIAL_FLOATS, 4), np.tile(_SPECIAL_FLOATS, 4),
+                            np.array([-2**63, 2**63 - 1, *range(-13, 13)], dtype=np.int64)]))
 def test_emit_table_writes_reference_bytes(table):
     header, columns = table
     rows = [tuple(int(c[i]) if c.dtype.kind == "i" else float(c[i]) for c in columns)
@@ -337,6 +368,23 @@ def test_emit_table_writes_reference_bytes(table):
         cli._emit_table(got, [("table", header, columns)], fmt)
         reference_table(want, header, rows, fmt, "table")
         assert got.getvalue() == want.getvalue()
+
+
+def test_evolve_table_writes_reference_bytes():
+    # 20 times x 64 points: the t and x columns repeat, the others do not
+    argv = ["evolve", "--points", "64", "--t-samples", "20", "--k0", "0.7",
+            "--x0", "-0.5", "--t-start", "-1", "--t-stop", "2"]
+    code, text = _run(argv)
+    assert code == 0
+    times = np.linspace(-1.0, 2.0, 20)
+    xs = np.linspace(-12.0, 12.0, 64)
+    packet = wavepacket.WavePacket(m0=1.0, sigma=1.0, x0=-0.5, k0=0.7)
+    psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    rows = [(float(t), float(x), p.real, p.imag, d) for (t, x), p, d in zip(
+        itertools.product(times, xs), psi.tolist(), (np.abs(psi) ** 2).tolist())]
+    want = io.StringIO()
+    reference_table(want, ["t", "x", "re", "im", "density"], rows, "csv", "evolve")
+    assert text == want.getvalue()
 
 
 def test_cached_parser_keeps_no_values_between_runs():
