@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-wavepacket     analytic free Gaussian packets and quadrature overlaps
+wavepacket     analytic free Gaussian packets and closed-form overlaps
 symmetry       N-particle product states, projectors, permanents
 spinstat       exchange phase from one-sense spinor rotation
 counting       exact Bose/Fermi/Boltzmann state counting

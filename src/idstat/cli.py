@@ -343,6 +343,10 @@ def _cmd_selftest(args, cfg: Config, out) -> int:
     grid = wavepacket.Grid(-12.0, 12.0, 1025)
     check("wavepacket stays normalized",
           abs(wavepacket.norm(packet, 0.7, grid) - 1.0) < 1e-6)
+    moved = replace(packet, x0=packet.sigma)
+    ab = [wavepacket.overlap(packet, moved, t) for t in (0.0, 5.0)]
+    check("packet overlap is time independent and dips to exp(-d^2/sigma^2)",
+          abs(ab[1] - ab[0]) < 1e-12 and abs(abs(ab[0]) ** 2 - np.exp(-1.0)) < 1e-12)
 
     spec = distributions.GasSpec(volume=200.0, temperature=1.0, mass=1.0,
                                  statistics="fermi", c=cfg.c_light,

@@ -476,6 +476,36 @@ def test_selftest_failing_check_exits_1(monkeypatch):
     assert sum(line.startswith("FAIL ") for line in lines) == 1
 
 
+def test_selftest_fails_on_wrong_packet_overlap(monkeypatch):
+    monkeypatch.setattr(cli.wavepacket, "overlap", lambda p1, p2, t: 1.0 + 0j)
+    code, text = _run(["selftest"])
+    assert code == 1
+    assert ("FAIL packet overlap is time independent and dips to exp(-d^2/sigma^2)"
+            in text.splitlines())
+
+
+def test_packet_integrals_without_scipy_integrate():
+    # selftest, evolve, overlap and norm run without scipy.integrate
+    script = textwrap.dedent("""
+        import io, sys
+        import idstat.cli
+        from idstat import wavepacket as wp
+        for argv in (["selftest"], ["evolve", "--points", "64", "--t-samples", "2"]):
+            assert idstat.cli.run(argv, io.StringIO()) == 0, argv
+        p = wp.WavePacket(m0=1.0, sigma=1.0, k0=0.5)
+        assert abs(wp.overlap(p, p, 0.3) - 1.0) < 1e-12
+        assert abs(wp.norm(p, 0.3, wp.Grid(-20.0, 20.0, 257)) - 1.0) < 1e-12
+        print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
 def test_cli_without_scipy(tmp_path):
     # count, symmetrize, exchange-phase and balance need no scipy, so the
     # CLI starts without loading it

@@ -9,7 +9,7 @@ from idstat import symmetry as sym
 from idstat import wavepacket as wp
 from idstat.errors import DegenerateAngles, SpinMismatch
 
-from conftest import gaussian_overlap_closed_form
+from conftest import simpson_overlap
 
 RNG = np.random.default_rng(42)
 SPINS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
@@ -135,7 +135,7 @@ def test_pair_norm_partial_overlap_gaussian_payloads():
         "pb": wp.WavePacket(m0=1.0, sigma=1.0, x0=0.7, k0=-0.1),
     }
     payload_ov = lambda ua, ub: (
-        1.0 if ua == ub else gaussian_overlap_closed_form(packets[ua], packets[ub], 0.0)
+        1.0 if ua == ub else wp.overlap(packets[ua], packets[ub], 0.0)
     )
     for s in (0.0, 0.5):
         reg = sym.ModeRegistry()
@@ -144,7 +144,8 @@ def test_pair_norm_partial_overlap_gaussian_payloads():
         state = ss.exchanged_pair_state(a, b, reg)
         ov = ss.SpinorOverlap(reg, payload_overlap=payload_ov)
         f_sign = (-1.0) ** int(round(2 * s))
-        spatial = gaussian_overlap_closed_form(packets["pa"], packets["pb"], 0.0)
+        spatial = simpson_overlap(packets["pa"], packets["pb"], 0.0,
+                                  wp.Grid(-40.0, 40.0, 4097))
         expected = 1.0 + f_sign * abs(spatial) ** 2
         assert sym.scalar_product(state, state, ov) == pytest.approx(expected, abs=1e-12)
 

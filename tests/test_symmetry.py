@@ -21,7 +21,7 @@ from idstat.errors import (
     TooLarge,
 )
 
-from conftest import gaussian_overlap_closed_form
+from conftest import simpson_overlap
 from test_cli import _state_to_json
 
 RNG = np.random.default_rng(20100701)
@@ -757,12 +757,35 @@ def test_overlap_matrix_wavepacket_quadrature():
     t = 0.2
     reg = sym.ModeRegistry()
     ids = [reg.register(p) for p in packets]
-    quad_ov = lambda i, j: wp.overlap(reg[i], reg[j], t, grid)
-    m = sym.overlap_matrix(ids, ids, quad_ov)
+    m = sym.overlap_matrix(ids, ids, lambda i, j: wp.overlap(reg[i], reg[j], t))
     for i in (0, 1):
         for j in (0, 1):
-            exact = gaussian_overlap_closed_form(packets[i], packets[j], t)
-            assert m[i, j] == pytest.approx(exact, abs=1e-9)
+            quad = simpson_overlap(packets[i], packets[j], t, grid)
+            assert m[i, j] == pytest.approx(quad, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_packet_gram_matrix_norms(n):
+    # <S psi, S psi> = perm(G)/n! and <A psi, A psi> = det(G)/n! for the
+    # Gram matrix G of n packets; G is Hermitian positive semidefinite with
+    # unit diagonal, so det G <= 1 <= perm G (Hadamard, Marcus 1963)
+    rng = np.random.default_rng(1300 + n)
+    t = 0.6
+    reg = sym.ModeRegistry()
+    ids = [reg.register(wp.WavePacket(m0=1.0, sigma=rng.uniform(0.7, 1.5),
+                                      x0=rng.uniform(-1.5, 1.5), t0=rng.uniform(-1.0, 1.0),
+                                      k0=rng.uniform(-1.0, 1.0)))
+           for _ in range(n)]
+    ov = lambda i, j: wp.overlap(reg[i], reg[j], t)
+    gram = sym.overlap_matrix(ids, ids, ov)
+    perm, det = sym.permanent(gram), sym.determinant(gram)
+    prod = sym.product_state(ids)
+    for project, expected in ((sym.symmetrize, perm), (sym.antisymmetrize, det)):
+        state = project(prod)
+        norm2 = sym.scalar_product(state, state, ov)
+        assert abs(norm2 - expected / math.factorial(n)) <= 1e-12 * abs(expected) / math.factorial(n)
+    assert abs(perm.imag) <= 1e-12 * perm.real
+    assert det.real <= 1.0 <= perm.real
 
 
 def test_permanent_and_determinant_2x2():

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from idstat import symmetry as sym
 from idstat import wavepacket as wp
 from idstat.errors import GridTooNarrow
 
-from conftest import gaussian_overlap_closed_form
+from conftest import simpson_norm, simpson_overlap
 
 WIDE = wp.Grid(-40.0, 40.0, 2049)
 
@@ -94,45 +96,113 @@ def test_width_growth_matches_spreading():
         assert fitted == pytest.approx(expected, rel=1e-2)
 
 
+def test_norm_matches_simpson_oracle():
+    # the packets, grids and times the norm tests and selftest use
+    cases = [
+        (wp.WavePacket(m0=1.0, sigma=1.5, k0=0.8), WIDE, (0.0, 0.7, 3.0)),
+        (wp.WavePacket(m0=1.0, sigma=1.0, k0=0.3), wp.Grid(-120.0, 120.0, 4097),
+         np.linspace(0.0, 5.0, 6)),
+        (wp.WavePacket(m0=1.0, sigma=1.0, k0=0.4), wp.Grid(-12.0, 12.0, 1025), (0.7,)),
+    ]
+    for p, g, times in cases:
+        for t in times:
+            assert abs(wp.norm(p, t, g) - simpson_norm(p, t, g)) <= 1e-14
+
+
+def test_norm_reports_clipped_mass():
+    # density std is sigma/2, so +-3 holds erf(3/sqrt(2)) of a sigma-2 packet
+    p = wp.WavePacket(m0=1.0, sigma=2.0)
+    clipped = wp.Grid(-3.0, 3.0, 64)
+    assert wp.norm(p, 0.0, clipped) == pytest.approx(math.erf(3.0 / math.sqrt(2.0)),
+                                                      abs=1e-4)
+    assert wp.norm(p, 0.0, clipped) == pytest.approx(simpson_norm(p, 0.0, clipped),
+                                                      abs=1e-4)
+
+
 def test_overlap_self_is_one():
     p = wp.WavePacket(m0=1.0, sigma=1.0, k0=1.2)
-    assert wp.overlap(p, p, 0.4, WIDE) == pytest.approx(1.0, abs=1e-6)
+    assert wp.overlap(p, p, 0.4) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_distant_packets_vanish():
-    p1 = wp.WavePacket(m0=1.0, sigma=1.0, x0=-11.0)
-    p2 = wp.WavePacket(m0=1.0, sigma=1.0, x0=9.0)  # 20 sigma apart
-    assert abs(wp.overlap(p1, p2, 0.0, WIDE)) < 1e-10
+    # 20 and 1000 sigma apart; the far pair underflows without a warning
+    for x0, bound in ((9.0, 1e-10), (989.0, 1e-300)):
+        p1 = wp.WavePacket(m0=1.0, sigma=1.0, x0=-11.0)
+        p2 = wp.WavePacket(m0=1.0, sigma=1.0, x0=x0)
+        assert abs(wp.overlap(p1, p2, 0.0)) <= bound
 
 
 def test_overlap_conjugate_symmetry():
     p1 = wp.WavePacket(m0=1.0, sigma=1.0, x0=-0.7, k0=0.9)
     p2 = wp.WavePacket(m0=1.0, sigma=1.4, x0=0.6, k0=-0.4, t0=0.2)
-    ab = wp.overlap(p1, p2, 0.3, WIDE)
-    ba = wp.overlap(p2, p1, 0.3, WIDE)
-    assert ab == pytest.approx(ba.conjugate(), abs=1e-12)
+    rng = np.random.default_rng(13)
+    pairs = [(p1, p2, 0.3)] + [
+        tuple(wp.WavePacket(m0=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.5, 2.0),
+                            x0=rng.uniform(-3.0, 3.0), t0=rng.uniform(-1.0, 1.0),
+                            k0=rng.uniform(-2.0, 2.0)) for _ in range(2))
+        + (rng.uniform(-2.0, 2.0),) for _ in range(50)]
+    for a, b, t in pairs:
+        assert wp.overlap(a, b, t) == wp.overlap(b, a, t).conjugate()
 
 
 def test_overlap_matches_closed_form():
+    # the closed form against the Simpson oracle
     p1 = wp.WavePacket(m0=1.0, sigma=0.9, x0=-1.0, k0=0.7)
     p2 = wp.WavePacket(m0=1.0, sigma=1.3, x0=1.2, k0=-0.5, t0=0.3)
+    grid = wp.Grid(-40.0, 40.0, 4097)
     for t in (0.0, 0.8):
-        exact = gaussian_overlap_closed_form(p1, p2, t)
-        quad = wp.overlap(p1, p2, t, WIDE)
-        assert quad == pytest.approx(exact, abs=1e-9)
+        assert abs(wp.overlap(p1, p2, t) - simpson_overlap(p1, p2, t, grid)) <= 1e-12
 
 
 def test_overlap_closed_form_self_consistency():
-    # the oracle itself must give unit self-overlap
+    # the closed form and the oracle both give unit self-overlap
     p = wp.WavePacket(m0=2.0, sigma=0.8, x0=0.3, k0=1.5, t0=-0.2)
-    assert gaussian_overlap_closed_form(p, p, 1.1) == pytest.approx(1.0, abs=1e-12)
+    assert wp.overlap(p, p, 1.1) == pytest.approx(1.0, abs=1e-12)
+    assert simpson_overlap(p, p, 1.1, WIDE) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_overlap_invariant_under_common_shift():
+    # only the center distance enters; an expansion about x = 0 loses
+    # 1e-10 relative here
+    p1 = wp.WavePacket(m0=1.0, sigma=0.9, x0=-1.0, k0=0.7)
+    p2 = wp.WavePacket(m0=1.0, sigma=1.3, x0=1.2, k0=-0.5, t0=0.3)
+    for t in (0.0, 0.8):
+        near = wp.overlap(p1, p2, t)
+        far = wp.overlap(dataclasses.replace(p1, x0=p1.x0 + 1e3),
+                         dataclasses.replace(p2, x0=p2.x0 + 1e3), t)
+        assert abs(far - near) <= 1e-12 * abs(near)
+
+
+def test_overlap_time_independent_for_equal_mass():
+    # both packets evolve under the same free Hamiltonian
+    p1 = wp.WavePacket(m0=1.0, sigma=0.9, x0=-1.0, k0=0.7)
+    p2 = wp.WavePacket(m0=1.0, sigma=1.3, x0=1.2, k0=-0.5, t0=0.3)
+    values = np.array([wp.overlap(p1, p2, t) for t in (0.0, 0.8, 5.0, 50.0)])
+    assert np.ptp(values.real) <= 1e-14 and np.ptp(values.imag) <= 1e-14
+    assert abs(values[0]) > 0.1
+
+
+def test_two_packet_dip():
+    # equal sigma and k0 at t0: |<a|b>|^2 = exp(-d^2/sigma^2), and the
+    # (anti)symmetrized pair has norm (1 +- |<a|b>|^2)/2
+    sigma = 1.3
+    for ratio in (0.5, 1.0, 2.0):
+        a = wp.WavePacket(m0=1.0, sigma=sigma, x0=-0.4, k0=0.6, t0=0.2)
+        b = dataclasses.replace(a, x0=a.x0 + ratio * sigma)
+        dip = abs(wp.overlap(a, b, a.t0)) ** 2
+        assert dip == pytest.approx(math.exp(-ratio**2), rel=1e-14)
+        reg = sym.ModeRegistry()
+        prod = sym.product_state([reg.register(a), reg.register(b)])
+        ov = lambda i, j: wp.overlap(reg[i], reg[j], a.t0)
+        for project, sign in ((sym.symmetrize, 1.0), (sym.antisymmetrize, -1.0)):
+            state = project(prod)
+            norm2 = sym.scalar_product(state, state, ov)
+            assert norm2 == pytest.approx((1.0 + sign * dip) / 2.0, rel=1e-14)
 
 
 def test_grid_too_narrow_rejected():
     p = wp.WavePacket(m0=1.0, sigma=2.0)
     narrow = wp.Grid(-3.0, 3.0, 64)
-    with pytest.raises(GridTooNarrow):
-        wp.overlap(p, p, 0.0, narrow)
     with pytest.raises(GridTooNarrow):
         wp.schrodinger_residual(p, narrow, 0.0)
 
