@@ -8,11 +8,12 @@ with the relativistic dispersion eps = sqrt((p c)^2 + (m c^2)^2) and the
 momentum-shell mode count g_p = 4 pi V p^2 dp / h^3.
 
 Two independent numerical routes are provided on top of the closed form:
-a chemical-potential solver inverting the total-number sum with
-``brentq``, and a maximum-entropy solver that optimizes the continuous
-(Stirling) entropy of the exact quantum counts under particle-number and
-energy constraints via Newton iterations on the two Lagrange
-multipliers.  Each bin's stationarity condition s'(n) = a + b*eps is
+a chemical-potential solver inverting the total-number sum, and a
+maximum-entropy solver that optimizes the continuous (Stirling) entropy
+of the exact quantum counts under particle-number and energy constraints
+via Newton iterations on the two Lagrange multipliers.  Each root solve
+is one ``brentq`` on a bracket written from a bound on the occupations,
+with no search.  Each bin's stationarity condition s'(n) = a + b*eps is
 inverted in closed form (it is the occupation formula at x = a + b*eps),
 so agreement of the two routes checks that the multipliers meeting
 (N, E) are b = 1/kT and a = -mu/kT.
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 # Bose chemical potentials are kept this many thermal units below the
-# lowest level when bracketing.
+# lowest level: the upper end of the mu bracket.
 BOSE_MU_MARGIN = 1e-12
 
 
@@ -71,8 +72,8 @@ class GasSpec:
         if self.statistics not in ("bose", "fermi"):
             raise ValueError(f"statistics must be 'bose' or 'fermi', got {self.statistics!r}")
         for name in ("volume", "temperature", "mass", "c", "h", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def kT(self) -> float:
@@ -88,8 +89,8 @@ class MomentumGrid:
     bins: int
 
     def __post_init__(self):
-        if not (0 <= self.p_min < self.p_max):
-            raise ValueError("MomentumGrid requires 0 <= p_min < p_max")
+        if not (0 <= self.p_min < self.p_max < math.inf):
+            raise ValueError("MomentumGrid requires 0 <= p_min < p_max < inf")
         if self.bins < 8:
             raise ValueError("MomentumGrid requires at least 8 bins")
 
@@ -165,53 +166,51 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
                        statistics: str) -> float:
     """Chemical potential fixing sum_i g_i n(eps_i, mu) = n_target.
 
-    One ``brentq`` on a bracket built around the root, to a relative
-    number error of 1e-10.  For bosons the bracket is capped
-    just below the lowest level; targets beyond the cap raise
-    :class:`SaturationExceeded`.  Fermi targets at or above the total
-    mode count raise :class:`NoBracket`.
+    One ``brentq`` on a closed-form bracket, to a relative number error of
+    1e-10.  With x = (eps - mu)/kT, eps0 = min eps, G = sum g and
+    z = sum g exp((eps0 - eps)/kT), the ends are
+    lower eps0 + kT min(-1, ln(N/2z)), since n(x) < 2 e^-x for x >= 1;
+    fermi upper max eps + kT (1 + ln(G/(G - N))), since 1 - n(x) < e^x;
+    bose upper eps0 - 1e-12 kT, where a larger N raises SaturationExceeded.
+    N and kT must be finite and positive (``ValueError``).  Fermi N >= G
+    and a bracket lost to rounding raise :class:`NoBracket`; a root
+    missing N by more than 1e-10 raises :class:`NoConvergence`.
     """
     eps = np.asarray(eps, dtype=float)
     g = np.asarray(g, dtype=float)
-    if n_target <= 0:
-        raise ValueError(f"n_target must be positive, got {n_target}")
+    for name, value in (("n_target", n_target), ("kT", kT)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     count = lambda mu: _total_number(mu, eps, g, kT, statistics)
 
     eps_min = float(eps.min())
     if statistics == "bose":
         hi = eps_min - BOSE_MU_MARGIN * kT
-        if count(hi) < n_target:
+        if hi == eps_min:
+            raise NoBracket(f"eps0 - 1e-12 kT rounds to eps0 = {eps_min!r} at kT = {kT!r}")
+        if (cap := count(hi)) < n_target:
             raise SaturationExceeded(
-                f"N={n_target} exceeds the grid saturation count {count(hi):.6g}"
-            )
+                f"N={n_target} exceeds the grid saturation count {cap:.6g}")
     else:
         total_modes = float(g.sum())
         if n_target >= total_modes:
             raise NoBracket(
-                f"fermi N={n_target} not below the total mode count {total_modes:.6g}"
-            )
-        hi = float(eps.max()) + kT
-        for _ in range(200):
-            if count(hi) > n_target:
-                break
-            hi = eps_min + 2.0 * (hi - eps_min)
-        else:
-            raise NoBracket("could not bracket mu from above")
-
-    lo = eps_min - kT
-    for _ in range(200):
-        if count(lo) < n_target:
-            break
-        lo = hi - 2.0 * (hi - lo)
-    else:
-        raise NoBracket("could not bracket mu from below")
+                f"fermi N={n_target} not below the total mode count {total_modes:.6g}")
+        hi = float(eps.max()) + kT * (1.0 + math.log(total_modes / (total_modes - n_target)))
+    z = float(np.sum(g * np.exp((eps_min - eps) / kT)))
+    # z = 0 when no weight survives: no log, and the count at eps0 - kT is 0 too
+    shift = math.log(n_target) - math.log(2.0 * z) if z > 0 else -1.0
+    lo = eps_min + kT * min(-1.0, shift)
 
     from scipy.optimize import brentq  # scipy loads only where it is used
 
     # disp=False: a root not pinned within maxiter falls through to the
     # NoConvergence check below instead of raising RuntimeError
-    mu = brentq(lambda m: count(m) - n_target, lo, hi,
-                xtol=1e-300, rtol=4 * np.finfo(float).eps, disp=False)
+    try:
+        mu = brentq(lambda m: count(m) - n_target, lo, hi,
+                    xtol=1e-300, rtol=4 * np.finfo(float).eps, disp=False)
+    except ValueError as exc:
+        raise NoBracket(f"mu bracket [{lo!r}, {hi!r}] lost to rounding: {exc}") from exc
     miss = abs(count(mu) - n_target) / n_target
     if miss > 1e-10:
         raise NoConvergence(f"mu solve stalled at relative error {miss:.3e}")
@@ -261,27 +260,30 @@ class MaxEntResult(NamedTuple):
 
 def _boltzmann_multipliers(eps: np.ndarray, g: np.ndarray, n_target: float,
                            e_target: float) -> tuple[float, float]:
-    """Classical-limit starting point for the Newton iteration."""
-    mean = e_target / n_target
-    h = lambda b: float(np.sum(g * eps * np.exp(-b * (eps - eps.min())))
-                        / np.sum(g * np.exp(-b * (eps - eps.min())))) - mean
-    lo, hi = 1e-12, 1.0
-    for _ in range(200):
-        if h(hi) < 0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        if h(lo) > 0:
-            break
-        lo *= 0.5
-    if h(lo) <= 0 or h(hi) >= 0:
-        b = 1.0
+    """Classical-limit starting point for the Newton iteration.
+
+    b is the root of h(b) = sum g (x - gap) e^(-b x), x = eps - eps0 and
+    gap = E/N - eps0, found by ``brentq`` on [0, (1 + ln(G/g0))/gap]:
+    h(0) > 0 iff the target mean is below the mode-weighted mean, and h < 0
+    at the upper end (g0 = g at eps0, G = sum g).  h(0) < 0 (a negative
+    temperature) raises :class:`Infeasible`; the tie h(0) = 0 takes b = 1/gap.
+    """
+    low = int(np.argmin(eps))
+    eps0 = float(eps[low])
+    x = eps - eps0
+    gap = e_target / n_target - eps0
+    h = lambda b: float(np.sum(g * (x - gap) * np.exp(-b * x)))
+    h0 = h(0.0)
+    if h0 < 0:
+        raise Infeasible(f"mean energy {e_target / n_target:.6g} above the mode-weighted "
+                         "mean needs a negative temperature")
+    if h0 == 0:
+        b = 1.0 / gap
     else:
         from scipy.optimize import brentq
 
-        b = brentq(h, lo, hi, rtol=1e-12)
-    shifted = -b * (eps - eps.min())
-    a = math.log(float(np.sum(g * np.exp(shifted)))) - math.log(n_target) - b * eps.min()
+        b = brentq(h, 0.0, (1.0 + math.log(float(g.sum()) / g[low])) / gap, rtol=1e-12)
+    a = math.log(float(np.sum(g * np.exp(-b * x)))) - math.log(n_target) - b * eps0
     return a, b
 
 
@@ -292,13 +294,17 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
 
     Newton iterations on the two Lagrange multipliers (a, b); each step
     inverts every bin's stationarity condition s'(n_i) = a + b*eps_i in
-    closed form and damps the step until the (N, E) residual falls.  Returns
+    closed form and halves the step until the (N, E) residual falls.  Returns
     the occupancies together with the implied temperature and chemical
-    potential.  Raises :class:`Infeasible` for unattainable (N, E) pairs
-    and :class:`NoConvergence` past max_iter iterations.
+    potential.  Mode counts must be finite and positive (``ValueError``).
+    Raises :class:`Infeasible` for unattainable (N, E) pairs, a mean energy
+    above the mode-weighted mean (negative temperature) among them, and
+    :class:`NoConvergence` past max_iter iterations.
     """
     eps = np.asarray(eps, dtype=float)
     g = np.asarray(g, dtype=float)
+    if not np.all((0 < g) & (g < math.inf)):
+        raise ValueError("mode counts must be finite and positive")
     if n_target <= 0:
         raise Infeasible(f"N must be positive, got {n_target}")
     if statistics == "fermi" and n_target >= float(g.sum()):
@@ -333,12 +339,12 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
     if statistics == "bose" and a + b * eps_min <= 0:
         a = -b * eps_min + 1e-6
 
+    e_scale = max(abs(e_target), 1e-300)
     n = _stationary_n(a + b * eps, g, statistics)
     for iteration in range(1, max_iter + 1):
         f_n = float(n.sum()) - n_target
         f_e = float((n * eps).sum()) - e_target
-        if (abs(f_n) <= 1e-12 * n_target
-                and abs(f_e) <= 1e-12 * max(abs(e_target), 1e-300)):
+        if abs(f_n) <= 1e-12 * n_target and abs(f_e) <= 1e-12 * e_scale:
             temperature = 1.0 / (k * b)
             return MaxEntResult(
                 occupancies=n, temperature=temperature, mu=-a / b,
@@ -353,28 +359,21 @@ def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
             step = np.linalg.solve(j, -np.array([f_n, f_e]))
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular multiplier Jacobian: {exc}") from exc
+        r_now = abs(f_n) / n_target + abs(f_e) / e_scale
         scale_factor = 1.0
-        best = None
         for _ in range(60):
             a_try = a + scale_factor * step[0]
             b_try = b + scale_factor * step[1]
-            feasible = b_try > 0 and (
-                statistics == "fermi" or a_try + b_try * eps_min > 0
-            )
-            if feasible:
+            if b_try > 0 and (statistics == "fermi" or a_try + b_try * eps_min > 0):
                 n_try = _stationary_n(a_try + b_try * eps, g, statistics)
                 r_try = (abs(float(n_try.sum()) - n_target) / n_target
-                         + abs(float((n_try * eps).sum()) - e_target)
-                         / max(abs(e_target), 1e-300))
-                r_now = (abs(f_n) / n_target
-                         + abs(f_e) / max(abs(e_target), 1e-300))
+                         + abs(float((n_try * eps).sum()) - e_target) / e_scale)
                 if r_try < r_now:
-                    best = (a_try, b_try, n_try)
                     break
             scale_factor *= 0.5
-        if best is None:
+        else:
             raise NoConvergence("multiplier line search stalled")
-        a, b, n = best
+        a, b, n = a_try, b_try, n_try
     raise NoConvergence(f"no convergence after {max_iter} Newton iterations")
 
 

@@ -76,8 +76,18 @@ def ccw_distance(chi_from: float, chi_to: float) -> float:
     return TWO_PI if d == 0.0 else d
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def rotation_phase(m: float, chi_from: float, chi_to: float) -> complex:
-    """Factor exp(i*m*D) acquired by rotating counterclockwise to chi_to."""
+    """Factor exp(i*m*D) acquired by rotating counterclockwise to chi_to.
+
+    Non-finite m or angles raise ``ValueError``.
+    """
+    _check_finite(m=m, chi_from=chi_from, chi_to=chi_to)
     return cmath.exp(1j * m * ccw_distance(chi_from, chi_to))
 
 
@@ -86,8 +96,10 @@ def exchange_phase(m: float, chi_a: float, chi_b: float) -> complex:
 
     Equals exp(-i*m*(D1 + D2)) = exp(-2*pi*i*m) = (-1)^(2m), exactly +-1
     up to roundoff.  The split of 2*pi into the two distances is ill-posed
-    for coinciding angles, which are refused.
+    for coinciding angles, which are refused; non-finite m or angles raise
+    ``ValueError``.
     """
+    _check_finite(m=m, chi_a=chi_a, chi_b=chi_b)
     if (chi_a % TWO_PI) == (chi_b % TWO_PI):
         raise DegenerateAngles(f"chi_a = chi_b = {chi_a % TWO_PI}; angles must differ")
     return rotation_phase(-m, chi_a, chi_b) * rotation_phase(-m, chi_b, chi_a)

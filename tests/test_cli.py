@@ -152,6 +152,26 @@ def test_exchange_phase_half_integer_spin_prints_minus_one():
     assert abs(product - complex(*payload["F"])) <= 1e-15
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--spin", "nan"), ("--spin", "inf"), ("--chi-a", "inf"), ("--chi-b", "nan")])
+def test_exchange_phase_non_finite_input_exits_2(capsys, flag, value):
+    # a repeated option takes its last value
+    code, text = _run(["exchange-phase", "--spin", "0.5", "--chi-a", "0.3",
+                       "--chi-b", "2.1", flag, value])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--T", "nan"), ("--T", "inf"), ("--N", "nan"), ("--V", "inf"), ("--mass", "nan")])
+def test_distribute_non_finite_input_exits_2(capsys, flag, value):
+    code, text = _run(_distribute_argv("bose", 300.0) + [flag, value])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
 def _subprocess_run(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -179,6 +199,19 @@ def test_distribute_bose_far_tail_prints_no_warning():
             assert occ == 0.0
         else:
             assert occ == pytest.approx(g / math.expm1(xi), rel=1e-14, abs=1e-300)
+
+
+def test_distribute_bose_margin_below_float_spacing_exits_3_on_one_line():
+    # At kT = 1e-300 the bose upper end eps0 - 1e-12 kT rounds to eps0, so
+    # no bracket exists; the solve stops before taking a count, which
+    # would divide by zero there.
+    proc = _subprocess_run(["distribute", "--stat", "bose", "--T", "1e-300",
+                            "--N", "5", "--pmax", "10"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: NoBracket:")
 
 
 def test_balance_nonconvergence_exits_4_with_partial_sweeps(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idstat import distributions as dist
 from idstat.errors import (
@@ -239,3 +241,105 @@ def test_max_entropy_meets_stationarity_and_constraints(statistics):
         assert prime == pytest.approx(a + b * e, rel=1e-12, abs=1e-12)
     assert math.fsum(result.occupancies) == pytest.approx(n_t, rel=1e-12)
     assert math.fsum(result.occupancies * eps) == pytest.approx(e_t, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["volume", "temperature", "mass", "c", "h", "k"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_fields(field, value):
+    base = dict(volume=1.0, temperature=1.0, mass=1.0, statistics="bose")
+    with pytest.raises(ValueError, match=field):
+        dist.GasSpec(**{**base, field: value})
+
+
+@pytest.mark.parametrize("n_target,kT", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+    (5.0, math.nan), (5.0, math.inf), (5.0, 0.0)])
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_solve_mu_rejects_non_finite_input(n_target, kT, statistics):
+    with pytest.raises(ValueError, match="finite and positive"):
+        dist.solve_mu_on_levels(n_target, [1.0, 2.0], [10.0, 10.0], kT, statistics)
+
+
+def test_solve_mu_bose_margin_below_float_spacing():
+    # eps0 - 1e-12 kT rounds to eps0 = 1: the solve raises before it
+    # takes a count there (which would divide by zero)
+    with pytest.raises(NoBracket):
+        dist.solve_mu_on_levels(1.0, [1.0, 2.0], [10.0, 10.0], 1e-300, "bose")
+
+
+def test_solve_mu_fermi_without_surviving_weight():
+    # the only mode sits 1e4 kT above the empty lowest level, so z = 0;
+    # half filling puts mu on that mode
+    mu = dist.solve_mu_on_levels(0.5, [0.0, 1e4], [0.0, 1.0], 1.0, "fermi")
+    assert mu == pytest.approx(1e4, rel=1e-12)
+
+
+def _own_count(eps, g, mu, kT, statistics):
+    """sum g n(x) from exp(-x) for x > 0, so no term overflows."""
+    terms = []
+    for e, gi in zip(eps, g):
+        x = (e - mu) / kT
+        if x > 0:
+            t = math.exp(-x)
+            terms.append(gi * t / (-math.expm1(-x) if statistics == "bose" else 1.0 + t))
+        else:
+            terms.append(gi / (math.exp(x) + 1.0))
+    return math.fsum(terms)
+
+
+@given(statistics=st.sampled_from(["bose", "fermi"]),
+       spread_exp=st.floats(-3.0, 3.0), kT_exp=st.floats(-2.0, 2.0),
+       offset=st.floats(-1.0, 1.0), fill=st.floats(0.0, 1.0),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=30),
+       g_exp=st.lists(st.floats(-3.0, 3.0), min_size=32, max_size=32))
+def test_solve_mu_round_trip_on_random_levels(statistics, spread_exp, kT_exp,
+                                              offset, fill, inner, g_exp):
+    spread = 10.0 ** spread_exp
+    kT = spread * 10.0 ** kT_exp
+    # Near bose saturation N changes by ulp(mu)/kT/1e-6 between adjacent
+    # floats, so the lowest level stays within kT/100 of 0 for bosons.
+    eps0 = offset * (kT / 100.0 if statistics == "bose" else 10.0 * spread)
+    eps = eps0 + spread * np.array([0.0, 1.0] + inner)
+    g = 10.0 ** np.array(g_exp[: eps.size])
+    total = math.fsum(g)
+    n_max = (_own_count(eps, g, eps0 - 1e-6 * kT, kT, "bose") if statistics == "bose"
+             else 0.999 * total)
+    n_target = math.exp(math.log(1e-200 * total)
+                        + fill * (math.log(n_max) - math.log(1e-200 * total)))
+    mu = dist.solve_mu_on_levels(n_target, eps, g, kT, statistics)
+    assert _own_count(eps, g, mu, kT, statistics) == pytest.approx(n_target, rel=1e-10)
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_max_entropy_negative_temperature_is_infeasible(statistics):
+    # the mean 1.8 lies above the mode-weighted mean 1.5: only b < 0 meets it
+    with pytest.raises(Infeasible, match="negative temperature"):
+        dist.max_entropy_on_levels([1.0, 2.0], [5.0, 5.0], 2.0, 3.6, statistics)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_max_entropy_rejects_bad_mode_counts(bad):
+    with pytest.raises(ValueError, match="mode counts"):
+        dist.max_entropy_on_levels([1.0, 2.0, 3.0], [5.0, bad, 5.0], 2.0, 4.0, "fermi")
+    with pytest.raises(ValueError, match="mode counts"):
+        dist.max_entropy_on_levels([2.0], [bad], 1.0, 2.0, "bose")
+
+
+def test_solve_mu_count_budget(monkeypatch):
+    # The spectra benchmark's 16 solve_mu strata without their jitter:
+    # V 200, 256 bins, pmax 24, kT 1 (bose) and 0.25 (fermi), mu offsets
+    # in kT below (bose) or above (fermi) the lowest level.  The bracket
+    # searches the closed-form ends replaced took 291 counts here.
+    calls = []
+    total_number = dist._total_number
+    monkeypatch.setattr(dist, "_total_number",
+                        lambda *args: calls.append(None) or total_number(*args))
+    for statistics, kT, offsets in (
+            ("bose", 1.0, (3.0, 1.0, 0.3, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
+            ("fermi", 0.25, (-2.0, 0.5, 2.0, 4.0, 8.0, 16.0, 24.0, 40.0))):
+        _, _, eps, g = _gas_levels(statistics, kT, 24.0, 256)
+        for x in offsets:
+            mu = float(eps.min()) + (x if statistics == "fermi" else -x) * kT
+            n_target = math.fsum(_own_occupancies(eps, g, mu, kT, statistics))
+            dist.solve_mu_on_levels(n_target, eps, g, kT, statistics)
+    assert len(calls) < 291

@@ -57,6 +57,16 @@ def test_exchange_phase_degenerate_angles():
         ss.exchange_phase(0.5, 0.0, 2 * math.pi)  # same angle mod 2*pi
 
 
+@pytest.mark.parametrize("phase", [ss.rotation_phase, ss.exchange_phase])
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.3, 2.1), (math.inf, 0.3, 2.1), (0.7, -math.inf, 2.1),
+    (0.5, 0.3, math.nan), (0.5, math.nan, math.nan)])
+def test_phases_reject_non_finite_input(phase, args):
+    # m is not snapped to half-integers here, so 0.7 is a valid component
+    with pytest.raises(ValueError, match="must be finite"):
+        phase(*args)
+
+
 def test_spinor_mode_validation():
     with pytest.raises(ValueError):
         ss.SpinorMode(s=0.3, m=0.3, chi=0.0)
