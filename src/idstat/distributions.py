@@ -12,11 +12,10 @@ a chemical-potential solver inverting the total-number sum, and a
 maximum-entropy solver that optimizes the continuous (Stirling) entropy
 of the exact quantum counts under particle-number and energy constraints
 via Newton iterations on the two Lagrange multipliers.  Each root solve
-is one ``brentq`` on a bracket written from a bound on the occupations,
-with no search.  Each bin's stationarity condition s'(n) = a + b*eps is
-inverted in closed form (it is the occupation formula at x = a + b*eps),
-so agreement of the two routes checks that the multipliers meeting
-(N, E) are b = 1/kT and a = -mu/kT.
+is one ``brentq`` on a closed-form bracket.  Each bin's stationarity
+condition s'(n) = a + b*eps is inverted in closed form (it is the
+occupation formula at x = a + b*eps), so agreement of the two routes
+checks that the multipliers meeting (N, E) are b = 1/kT and a = -mu/kT.
 """
 
 from __future__ import annotations
@@ -51,9 +50,13 @@ __all__ = [
     "max_entropy_on_levels",
 ]
 
-# Bose chemical potentials are kept this many thermal units below the
-# lowest level: the upper end of the mu bracket.
+# Bose chemical potentials stay this many thermal units below the lowest
+# level, or one float below it where that rounds to the level itself.
 BOSE_MU_MARGIN = 1e-12
+
+
+def _bose_mu_max(eps0: float, kT: float) -> float:
+    return min(eps0 - BOSE_MU_MARGIN * kT, float(np.nextafter(eps0, -np.inf)))
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,7 @@ def saturation_count(spec: GasSpec, grid: MomentumGrid) -> float:
     """Largest particle number reachable for bosons on this grid."""
     eps = grid_energies(spec, grid)
     g = grid_mode_counts(spec, grid)
-    mu_max = float(eps.min()) - BOSE_MU_MARGIN * spec.kT
-    return _total_number(mu_max, eps, g, spec.kT, "bose")
+    return _total_number(_bose_mu_max(float(eps.min()), spec.kT), eps, g, spec.kT, "bose")
 
 
 def solve_mu_on_levels(n_target: float, eps, g, kT: float,
@@ -171,10 +173,10 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
     z = sum g exp((eps0 - eps)/kT), the ends are
     lower eps0 + kT min(-1, ln(N/2z)), since n(x) < 2 e^-x for x >= 1;
     fermi upper max eps + kT (1 + ln(G/(G - N))), since 1 - n(x) < e^x;
-    bose upper eps0 - 1e-12 kT, where a larger N raises SaturationExceeded.
-    N and kT must be finite and positive (``ValueError``).  Fermi N >= G
-    and a bracket lost to rounding raise :class:`NoBracket`; a root
-    missing N by more than 1e-10 raises :class:`NoConvergence`.
+    bose upper min(eps0 - 1e-12 kT, the float below eps0); a larger N raises
+    SaturationExceeded.  N and kT must be finite and positive (``ValueError``).
+    Fermi N >= G and a bracket lost to rounding raise :class:`NoBracket`; a
+    root missing N by more than 1e-10 raises :class:`NoConvergence`.
     """
     eps = np.asarray(eps, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -185,9 +187,7 @@ def solve_mu_on_levels(n_target: float, eps, g, kT: float,
 
     eps_min = float(eps.min())
     if statistics == "bose":
-        hi = eps_min - BOSE_MU_MARGIN * kT
-        if hi == eps_min:
-            raise NoBracket(f"eps0 - 1e-12 kT rounds to eps0 = {eps_min!r} at kT = {kT!r}")
+        hi = _bose_mu_max(eps_min, kT)
         if (cap := count(hi)) < n_target:
             raise SaturationExceeded(
                 f"N={n_target} exceeds the grid saturation count {cap:.6g}")

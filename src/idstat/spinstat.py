@@ -99,7 +99,6 @@ def exchange_phase(m: float, chi_a: float, chi_b: float) -> complex:
     for coinciding angles, which are refused; non-finite m or angles raise
     ``ValueError``.
     """
-    _check_finite(m=m, chi_a=chi_a, chi_b=chi_b)
     if (chi_a % TWO_PI) == (chi_b % TWO_PI):
         raise DegenerateAngles(f"chi_a = chi_b = {chi_a % TWO_PI}; angles must differ")
     return rotation_phase(-m, chi_a, chi_b) * rotation_phase(-m, chi_b, chi_a)

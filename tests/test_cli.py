@@ -201,17 +201,41 @@ def test_distribute_bose_far_tail_prints_no_warning():
             assert occ == pytest.approx(g / math.expm1(xi), rel=1e-14, abs=1e-300)
 
 
+@pytest.mark.parametrize("temperature,mass", [(1e-4, 1.0), (1.0, 1e5)])
+def test_distribute_cold_bose_gas_exits_0(temperature, mass):
+    # eps0/kT >= 1e4, so eps0 - 1e-12 kT rounds to eps0 and the upper end
+    # of the mu bracket is the float below eps0; mu sits 0.6 kT (T 1e-4) or
+    # 10 kT (mass 1e5) under eps0
+    argv = ["distribute", "--stat", "bose", "--T", repr(temperature), "--mass",
+            repr(mass), "--N", "5", "--V", "200", "--pmax", "6", "--bins", "32"]
+    proc = _subprocess_run(argv)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    rows = np.loadtxt(io.StringIO(proc.stdout.decode()), delimiter=",", skiprows=1)
+    spec = distributions.GasSpec(volume=200.0, temperature=temperature, mass=mass,
+                                 statistics="bose")
+    mu = distributions.solve_mu(5.0, spec, distributions.MomentumGrid(0.0, 6.0, 32))
+    eps0 = rows[0, 1]
+    assert eps0 - 1e-12 * temperature == eps0
+    assert 0.1 < (eps0 - mu) / temperature < 20.0
+    assert math.fsum(rows[:, 3]) == pytest.approx(5.0, rel=1e-10)
+    for eps, g, occ in rows[:, 1:]:
+        x = (eps - mu) / temperature
+        expected = 0.0 if x > 709.8 else g / math.expm1(x)
+        assert occ == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
 def test_distribute_bose_margin_below_float_spacing_exits_3_on_one_line():
-    # At kT = 1e-300 the bose upper end eps0 - 1e-12 kT rounds to eps0, so
-    # no bracket exists; the solve stops before taking a count, which
-    # would divide by zero there.
+    # At kT = 1e-300 the float below eps0, the upper end of the mu bracket,
+    # lies ~1e284 kT down, where no bose mode holds a particle: the count
+    # is 0 there, with no division by zero and no warning.
     proc = _subprocess_run(["distribute", "--stat", "bose", "--T", "1e-300",
                             "--N", "5", "--pmax", "10"])
     assert proc.returncode == 3
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: NoBracket:")
+    assert lines[0].startswith("error: SaturationExceeded:")
 
 
 def test_balance_nonconvergence_exits_4_with_partial_sweeps(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from idstat import distributions as dist
@@ -247,7 +247,7 @@ def test_max_entropy_meets_stationarity_and_constraints(statistics):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_spec_rejects_non_finite_fields(field, value):
     base = dict(volume=1.0, temperature=1.0, mass=1.0, statistics="bose")
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and positive"):
         dist.GasSpec(**{**base, field: value})
 
 
@@ -261,10 +261,21 @@ def test_solve_mu_rejects_non_finite_input(n_target, kT, statistics):
 
 
 def test_solve_mu_bose_margin_below_float_spacing():
-    # eps0 - 1e-12 kT rounds to eps0 = 1: the solve raises before it
-    # takes a count there (which would divide by zero)
-    with pytest.raises(NoBracket):
+    # At kT = 1e-5, eps0 - 1e-12 kT rounds to eps0 = 1, so the upper end is
+    # the float below 1.  The upper level holds nothing, and the lowest one
+    # holds its 10 particles at x = ln 2.
+    assert 1.0 - 1e-12 * 1e-5 == 1.0
+    mu = dist.solve_mu_on_levels(10.0, [1.0, 2.0], [10.0, 10.0], 1e-5, "bose")
+    assert mu == pytest.approx(1.0 - 1e-5 * math.log(2.0), rel=1e-15)
+
+
+def test_bose_saturation_below_float_spacing():
+    # At kT = 1e-300 the float below eps0 lies ~1e284 kT down: nothing is
+    # reachable, and neither the solve nor the count divides by zero
+    with pytest.raises(SaturationExceeded, match="saturation count 0"):
         dist.solve_mu_on_levels(1.0, [1.0, 2.0], [10.0, 10.0], 1e-300, "bose")
+    spec = dist.GasSpec(volume=200.0, temperature=1e-300, mass=1.0, statistics="bose")
+    assert dist.saturation_count(spec, dist.MomentumGrid(0.0, 10.0, 64)) == 0.0
 
 
 def test_solve_mu_fermi_without_surviving_weight():
@@ -289,20 +300,27 @@ def _own_count(eps, g, mu, kT, statistics):
 
 @given(statistics=st.sampled_from(["bose", "fermi"]),
        spread_exp=st.floats(-3.0, 3.0), kT_exp=st.floats(-2.0, 2.0),
-       offset=st.floats(-1.0, 1.0), fill=st.floats(0.0, 1.0),
+       offset=st.floats(-1.0, 1.0), lift_exp=st.floats(-2.0, 4.2),
+       fill=st.floats(0.0, 1.0),
        inner=st.lists(st.floats(0.0, 1.0), max_size=30),
        g_exp=st.lists(st.floats(-3.0, 3.0), min_size=32, max_size=32))
-def test_solve_mu_round_trip_on_random_levels(statistics, spread_exp, kT_exp,
-                                              offset, fill, inner, g_exp):
+# a cold bose gas whose lowest level sits 1.26e4 kT above 0, where
+# eps0 - 1e-12 kT rounds to eps0
+@example(statistics="bose", spread_exp=-2.0, kT_exp=-2.0, offset=1.0, lift_exp=4.1,
+         fill=0.99, inner=[0.5], g_exp=[0.0] * 32)
+def test_solve_mu_round_trip_on_random_levels(statistics, spread_exp, kT_exp, offset,
+                                              lift_exp, fill, inner, g_exp):
     spread = 10.0 ** spread_exp
     kT = spread * 10.0 ** kT_exp
-    # Near bose saturation N changes by ulp(mu)/kT/1e-6 between adjacent
-    # floats, so the lowest level stays within kT/100 of 0 for bosons.
-    eps0 = offset * (kT / 100.0 if statistics == "bose" else 10.0 * spread)
+    eps0 = offset * (kT * 10.0 ** lift_exp if statistics == "bose" else 10.0 * spread)
     eps = eps0 + spread * np.array([0.0, 1.0] + inner)
     g = 10.0 ** np.array(g_exp[: eps.size])
     total = math.fsum(g)
-    n_max = (_own_count(eps, g, eps0 - 1e-6 * kT, kT, "bose") if statistics == "bose"
+    # Near bose saturation, at x = (eps0 - mu)/kT, N changes by about
+    # ulp(eps0)/(x kT) relative between adjacent floats of mu, so the top N
+    # keeps x at least 1e11 ulp(eps0)/kT (and 1e-6) to be met to 1e-10.
+    x_top = max(1e-6, 1e11 * math.ulp(eps0) / kT)
+    n_max = (_own_count(eps, g, eps0 - x_top * kT, kT, "bose") if statistics == "bose"
              else 0.999 * total)
     n_target = math.exp(math.log(1e-200 * total)
                         + fill * (math.log(n_max) - math.log(1e-200 * total)))
