@@ -180,25 +180,31 @@ def _state_from_json(raw) -> symmetry.NParticleState:
 def _state_text(state: symmetry.NParticleState) -> str:
     """The state as ``json.dumps(..., indent=2, sort_keys=True)`` writes
     the object ``{"schema", "n", "terms": [{"coeff": [re, im], "modes"}]}``,
-    filled in from the state's arrays through one ``%s`` template.
+    filled in from the state's arrays by one join.
 
-    Each distinct value is formatted once by ``_texts``, as json writes
-    it: coefficient parts through ``%r`` (float.__repr__; a state's
-    coefficients are finite, and -0.0 keeps its sign) and mode ids through
-    ``%d``.
+    The head, each term's fixed JSON text around its values, the values
+    and the closing lines go into one object array, so the text is built
+    once.  Each distinct value is formatted once by ``_texts``, as json
+    writes it: coefficient parts through ``%r`` (float.__repr__; a
+    state's coefficients are finite, and -0.0 keeps its sign) and mode ids
+    through ``%d``.
     """
     count, n = state.modes.shape
     head = f'{{\n  "n": {state.n},\n  "schema": {_STATE_SCHEMA},\n  "terms": ['
     if not count:
         return head + "]\n}"
     modes = ("[\n" + ",\n".join(["        %s"] * n) + "\n      ]") if n else "[]"
-    term = ('    {\n      "coeff": [\n        %s,\n        %s\n      ],\n'
-            f'      "modes": {modes}\n    }}')
-    values = np.empty((count, n + 2), dtype=object)
-    values[:, :2] = _texts(np.column_stack([state.coeffs.real, state.coeffs.imag]), "%r")
-    values[:, 2:] = _texts(state.modes, "%d")
-    body = ",\n".join([term] * count) % tuple(values.ravel().tolist())
-    return f"{head}\n{body}\n  ]\n}}"
+    # the text before each of a term's n + 2 values, and after the last
+    fixed = ('\n    {\n      "coeff": [\n        %s,\n        %s\n      ],\n'
+             f'      "modes": {modes}\n    }},').split("%s")
+    parts = np.empty(count * (2 * n + 5) + 2, dtype=object)
+    parts[0], parts[-1] = head, "\n  ]\n}"
+    terms = parts[1:-1].reshape(count, 2 * n + 5)
+    terms[:, ::2] = fixed
+    terms[-1, -1] = fixed[-1][:-1]  # no comma after the last term
+    terms[:, 1:4:2] = _texts(np.column_stack([state.coeffs.real, state.coeffs.imag]), "%r")
+    terms[:, 5::2] = _texts(state.modes, "%d")
+    return "".join(parts.tolist())
 
 
 def _cmd_symmetrize(args, cfg: Config, out) -> int:

@@ -126,7 +126,10 @@ def _occupation(x, statistics: str):
         # right occupation; only the warning is silenced.
         with np.errstate(over="ignore"):
             return 1.0 / np.expm1(x)
-    return 1.0 / (np.exp(np.minimum(x, 700.0)) + 1.0)
+    # e^-x / (1 + e^-x) past 0 and 1 / (1 + e^x) below it: one exp that
+    # never overflows, and e^-x itself far out in the tail
+    e = np.exp(-np.abs(x))
+    return np.where(x > 0, e, 1.0) / (1.0 + e)
 
 
 def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
@@ -138,7 +141,10 @@ def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
     eps = np.asarray(eps, dtype=float)
     if spec.statistics == "bose" and np.any(eps <= mu):
         raise BosePole(f"bose occupancy needs eps > mu, got eps <= {mu}")
-    out = _occupation((eps - mu) / spec.kT, spec.statistics)
+    # a subnormal kT sends x to inf, where the occupation 0 is right
+    with np.errstate(over="ignore"):
+        x = (eps - mu) / spec.kT
+    out = _occupation(x, spec.statistics)
     if g_p is not None:
         out = out * np.asarray(g_p, dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -154,6 +160,9 @@ def grid_mode_counts(spec: GasSpec, grid: MomentumGrid) -> np.ndarray:
 
 def _total_number(mu: float, eps: np.ndarray, g: np.ndarray, kT: float,
                   statistics: str) -> float:
+    """sum g n(x).  At a subnormal kT, x overflows to inf, where the
+    occupation 0 is right; callers silence the warning once, around every
+    count of a solve, rather than per count."""
     return float(np.sum(g * _occupation((eps - mu) / kT, statistics)))
 
 
@@ -161,9 +170,14 @@ def saturation_count(spec: GasSpec, grid: MomentumGrid) -> float:
     """Largest particle number reachable for bosons on this grid."""
     eps = grid_energies(spec, grid)
     g = grid_mode_counts(spec, grid)
-    return _total_number(_bose_mu_max(float(eps.min()), spec.kT), eps, g, spec.kT, "bose")
+    with np.errstate(over="ignore"):
+        return _total_number(_bose_mu_max(float(eps.min()), spec.kT), eps, g,
+                             spec.kT, "bose")
 
 
+# x = (eps - mu)/kT overflows to inf at a subnormal kT, where the
+# occupation 0 is right: the warning is silenced once per solve.
+@np.errstate(over="ignore")
 def solve_mu_on_levels(n_target: float, eps, g, kT: float,
                        statistics: str) -> float:
     """Chemical potential fixing sum_i g_i n(eps_i, mu) = n_target.

@@ -11,8 +11,10 @@ into one uint64 key, slot 0 most significant (a second word only past
 64 bits).  A stable sort of the keys groups equal rows in lexicographic
 order, each group's coefficients are summed from 0j in input order, the
 arithmetic of a dict merge, and only the kept rows are mapped back to
-ids.  The projectors expand rank rows through one int8 table of the n!
-permutations.  ``state.terms`` is built from the arrays on first read.
+ids.  The projectors expand the rank rows into their n! rearrangements
+directly, with no permutation table, and ``scalar_product`` meets in the
+middle of the slots instead of looping over term pairs.  ``state.terms``
+is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
 permutations, the (anti)symmetrizer projectors
@@ -85,7 +87,7 @@ _PERMANENT_LOW_COLUMNS = 10
 # call is a misuse.
 PROJECTOR_MAX_ROWS = math.factorial(9)
 
-# Term pairs whose slot products scalar_product forms at once.
+# Complex entries in each temporary of scalar_product.
 _TERM_PAIR_BLOCK = 1 << 16
 
 OverlapProvider = Callable[[int, int], complex]
@@ -379,30 +381,35 @@ def permute_parameters(s: NParticleState, perm: Sequence[int]) -> NParticleState
     return _state(s.n, s.modes[:, perm], s.coeffs)
 
 
-def _inverse_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of all n! permutations of 0..n-1, listed in lexicographic
-    order of the permutations, and the parity of each (1 for odd), as
-    int8 arrays.
+def _rearrangements(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot permutation of every rank row, and the parity of each
+    permutation (1 for odd, int8).
 
+    Entry [p, i] is row i of ``ranks`` with slot k given the rank that
+    slot inverse_p[k] held, where inverse_p is the inverse of the p-th
+    permutation of 0..n-1 in lexicographic order: P_p applied to the row.
     The permutations of size s are each first element f in front of the
-    permutations of the rest, renumbered past f.  So each inverse is the
-    inverse of the rest, shifted up by one, with 0 put in at position f,
-    and f adds f inversions; a permutation and its inverse have the same
-    parity.  The table is built on every call (under 1 ms at n = 8)
-    rather than kept resident for the life of the process.
+    permutations of the rest, renumbered past f, so each inverse is the
+    inverse of the rest, shifted up by one, with 0 put in at position f;
+    f adds f inversions, and a permutation and its inverse have the same
+    parity.  The recursion runs on the ranks themselves: at size s the
+    value put in at position f is column n - s, the column that 0 of size
+    s becomes after the n - s later shifts.  So no permutation table is
+    formed, and the rows come out in the ranks' own dtype.
     """
-    inverse = np.zeros((1, 0), dtype=np.int8)
+    count, n = ranks.shape
+    rows = np.empty((1, count, 0), dtype=ranks.dtype)
     parity = np.zeros(1, dtype=np.int8)
     for size in range(1, n + 1):
-        shifted = inverse + 1
-        inverse = np.empty((size, len(shifted), size), dtype=np.int8)
+        column = ranks[:, n - size]
+        grown = np.empty((size, len(rows), count, size), dtype=ranks.dtype)
         for f in range(size):
-            inverse[f, :, :f] = shifted[:, :f]
-            inverse[f, :, f] = 0
-            inverse[f, :, f + 1:] = shifted[:, f:]
-        inverse = inverse.reshape(-1, size)
+            grown[f, :, :, :f] = rows[:, :, :f]
+            grown[f, :, :, f] = column
+            grown[f, :, :, f + 1:] = rows[:, :, f:]
+        rows = grown.reshape(-1, count, size)
         parity = ((np.arange(size, dtype=np.int8)[:, None] + parity) & 1).ravel()
-    return inverse, parity
+    return rows, parity
 
 
 def _projector(s: NParticleState, signed: bool) -> NParticleState:
@@ -423,19 +430,17 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
             raise TooLarge(
                 f"projecting {len(coeffs)} terms of {n} particles expands past "
                 f"{PROJECTOR_MAX_ROWS} rows")
-    inverse, parity = _inverse_permutations(n)
     factorial = math.factorial(n)
     # Row 0 holds c / n! and row 1 holds -c / n!, formed as (sign * c) / n!
     # in that order so that each matches the scalar arithmetic exactly.
     weights = np.array([[(sign * c) / factorial for c in coeffs.tolist()]
                         for sign in (1, -1)])
-    odd = parity if signed else np.zeros_like(parity)
     ids, ranks = _ranked(modes)
-    # Row p * len(coeffs) + i gives slot k the mode that term i had in slot
-    # inverse[p, k], as P_p does: the order of a loop over permutations
-    # outside a loop over terms.
-    expanded = ranks.take(inverse, axis=1).transpose(1, 0, 2).reshape(rows, n)
-    return _state(n, expanded, weights[odd].ravel(), ids)
+    # Row p * len(coeffs) + i is P_p applied to term i: the order of a loop
+    # over permutations outside a loop over terms.
+    expanded, parity = _rearrangements(ranks)
+    odd = parity if signed else np.zeros_like(parity)
+    return _state(n, expanded.reshape(rows, n), weights[odd].ravel(), ids)
 
 
 def symmetrize(s: NParticleState) -> NParticleState:
@@ -461,9 +466,26 @@ def scalar_product(a: NParticleState, b: NParticleState,
     """<a, b> = sum over term pairs of conj(ca) cb prod_j ov(ma_j, mb_j).
 
     ov is called once per pair of distinct modes, one from each state,
-    not once per term pair.  The slot products are formed for blocks of
-    about 64k term pairs at a time, so the full term-pair table is never
-    held in memory.
+    not once per term pair.  The sum meets in the middle (Horowitz and
+    Sahni 1974): each term splits at slot h = n // 2 into a head (slots
+    before h) and a tail, and the slot product of a term pair is
+    L[head a, head b] * R[tail a, tail b], the products over the head and
+    over the tail slots of one distinct head or tail of each state.  With
+    a's terms grouped by head p and b's by tail u,
+
+        <a, b> = sum_{p, u} X[p, u] Y[p, u],
+        X[p, u] = sum_{i: head_i = p} conj(ca_i) R[tail_i, u],
+        Y[p, u] = sum_{k: tail_k = u} cb_k L[p, head_k].
+
+    With T_a and T_b terms, P_a distinct heads of a and S_b distinct
+    tails of b, this is about T_a S_b + P_a T_b products and adds, plus
+    P_a P_b h and S_a S_b (n - h) table entries, against the T_a T_b n of
+    a loop over term pairs.  No count of distinct heads or tails exceeds
+    its state's term count, so it is never of a larger order.  b's terms,
+    sorted by tail, are taken in runs short enough that each temporary
+    (T_a by the run's tails, P_a by its terms or heads) stays within
+    _TERM_PAIR_BLOCK = 64k complex entries; only a single column can pass
+    it, when a has more terms or heads than that.
     """
     if a.n != b.n:
         raise SizeMismatch(f"scalar product of {a.n}- and {b.n}-particle states")
@@ -471,21 +493,100 @@ def scalar_product(a: NParticleState, b: NParticleState,
         return 0j
     a_modes, a_slots = _mode_indices(a)
     b_modes, b_slots = _mode_indices(b)
-    # table_t[k, i] = ov(a_modes[i], b_modes[k]); a gather of whole rows
-    # by b's slots is the cheap one.
-    table_t = np.ascontiguousarray(_overlap_table(a_modes, b_modes, ov).T)
-    ca = np.conj(a.coeffs)
-    cb = b.coeffs
-    block = max(1, _TERM_PAIR_BLOCK // len(cb))
+    table = _overlap_table(a_modes, b_modes, ov)
+    table_t = np.ascontiguousarray(table.T)
+    split = a.n // 2
+    a_order, a_heads, a_tails, a_head, a_tail, head_starts = _halves(
+        a_slots, split, len(a_modes), by_tail=False)
+    b_order, b_heads, b_tails, b_head, b_tail, tail_starts = _halves(
+        b_slots, split, len(b_modes), by_tail=True)
+    ca = np.conj(a.coeffs)[a_order]
+    cb = b.coeffs[b_order]
+    # lt[q, p] = L[p, q], for all of b's heads at once when that fits
+    whole = len(a_heads) * len(b_heads) <= _TERM_PAIR_BLOCK
+    lt = _slot_products(table_t, b_heads, a_heads) if whole else None
+    tail_width = max(1, _TERM_PAIR_BLOCK // len(ca))
+    term_width = max(1, _TERM_PAIR_BLOCK // len(a_heads))
     total = 0j
-    for start in range(0, len(ca), block):
-        a_block = a_slots[start:start + block]
-        # prod[k, i]: product over slots for b term k and a term start + i
-        prod = np.ones((len(cb), len(a_block)), dtype=complex)
-        for j in range(a.n):
-            prod *= table_t[:, a_block[:, j]][b_slots[:, j]]
-        total += cb @ prod @ ca[start:start + block]
+    start = 0
+    while start < len(cb):
+        first = b_tail[start]
+        stop = min(start + term_width,
+                   tail_starts[min(first + tail_width, len(b_tails))])
+        tails = slice(first, b_tail[stop - 1] + 1)
+        # x[p, u]: a's terms summed by head against b's tails in the run
+        r = _slot_products(table, a_tails, b_tails[tails])
+        x = _group_sums(r.take(a_tail, axis=0), ca, head_starts[:-1])
+        # y[u, p]: b's terms in the run summed by tail against a's heads
+        head = b_head[start:stop]
+        if not whole:
+            heads, head = np.unique(head, return_inverse=True)
+            lt = _slot_products(table_t, b_heads[heads], a_heads)
+        y = _group_sums(lt.take(head, axis=0), cb[start:stop],
+                        np.maximum(tail_starts[tails], start) - start)
+        total += np.einsum("pu,up->", x, y)
+        start = stop
     return complex(total)
+
+
+def _halves(slots: np.ndarray, split: int, base: int, by_tail: bool):
+    """The terms grouped by head, or by tail, where a term's head is its
+    slots (indices below ``base``) before ``split`` and its tail the rest.
+
+    Returns the order that sorts the terms by that half, the distinct
+    heads and tails (rows of slot indices, in lexicographic order), each
+    sorted term's head and tail as indices into them, and the first
+    sorted term of each group with the term count appended.  Heads and
+    tails are told apart in one ``np.unique``: tail keys are offset past
+    every head key.
+    """
+    count = len(slots)
+    offset = 1 << 62
+    keys = np.concatenate([_row_keys(slots[:, :split], base, offset),
+                           _row_keys(slots[:, split:], base, offset) + offset])
+    distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    heads = int(np.searchsorted(distinct, offset))
+    head, tail = index[:count], index[count:] - heads
+    order = np.argsort(tail if by_tail else head, kind="stable")
+    head, tail = head[order], tail[order]
+    groups = len(distinct) - heads if by_tail else heads
+    starts = np.searchsorted(tail if by_tail else head, np.arange(groups + 1))
+    return (order, slots[first[:heads], :split], slots[first[heads:] - count, split:],
+            head, tail, starts)
+
+
+def _row_keys(rows: np.ndarray, base: int, limit: int) -> np.ndarray:
+    """One int64 key below ``limit`` per row of entries below ``base``,
+    ordered as the rows are lexicographically: the columns in that base,
+    the partial keys ranked again before a column would pass the limit."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1
+    for column in rows.T:
+        if bound * base > limit:
+            key = np.unique(key, return_inverse=True)[1]
+            bound = int(key.max()) + 1
+        key = key * base + column
+        bound *= base
+    return key
+
+
+def _slot_products(table: np.ndarray, a_rows: np.ndarray,
+                   b_rows: np.ndarray) -> np.ndarray:
+    """P[p, q] = prod_j table[a_rows[p, j], b_rows[q, j]]; ``table`` is
+    C-contiguous, and each slot's entries are taken by flat index."""
+    out = np.ones((len(a_rows), len(b_rows)), dtype=complex)
+    width = table.shape[1]
+    for j in range(a_rows.shape[1]):
+        out *= table.take(a_rows[:, j, None] * width + b_rows[:, j])
+    return out
+
+
+def _group_sums(rows: np.ndarray, coeffs: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """Sums of coeffs[i] * rows[i] over the runs of rows from each start;
+    ``rows`` is a fresh gather and is scaled in place."""
+    rows *= coeffs[:, None]
+    return np.add.reduceat(rows, starts)
 
 
 def _mode_indices(s: NParticleState) -> tuple[list[int], np.ndarray]:

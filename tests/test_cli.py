@@ -238,6 +238,18 @@ def test_distribute_bose_margin_below_float_spacing_exits_3_on_one_line():
     assert lines[0].startswith("error: SaturationExceeded:")
 
 
+def test_distribute_bose_at_subnormal_temperature_exits_3_on_one_line():
+    # At kT = 1e-310, (eps - mu)/kT overflows to inf: occupation 0, with no
+    # overflow warning before the error line.
+    proc = _subprocess_run(["distribute", "--stat", "bose", "--T", "1e-310",
+                            "--N", "5", "--pmax", "10"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: SaturationExceeded:")
+
+
 def test_balance_nonconvergence_exits_4_with_partial_sweeps(capsys):
     code, text = _run(["balance", "--steps", "3"])
     assert code == 4

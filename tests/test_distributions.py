@@ -285,6 +285,21 @@ def test_solve_mu_fermi_without_surviving_weight():
     assert mu == pytest.approx(1e4, rel=1e-12)
 
 
+def test_solve_mu_fermi_far_below_the_lowest_level():
+    # N = 1e-306 needs mu ~ -705 kT, past the e^-700 a clamped exponent
+    # would floor every fermi occupation at
+    eps, g = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    mu = dist.solve_mu_on_levels(1e-306, eps, g, 1.0, "fermi")
+    assert mu == pytest.approx(-705.0, abs=1.0)
+    count = dist._total_number(mu, eps, g, 1.0, "fermi")
+    assert count == pytest.approx(1e-306, rel=1e-10, abs=0)
+
+
+def test_fermi_occupancy_far_tail_is_e_to_minus_x():
+    spec = dist.GasSpec(volume=1.0, temperature=1.0, mass=1.0, statistics="fermi")
+    assert dist.occupancy(705.0, 0.0, spec) == pytest.approx(math.exp(-705.0), rel=1e-15, abs=0)
+
+
 def _own_count(eps, g, mu, kT, statistics):
     """sum g n(x) from exp(-x) for x > 0, so no term overflows."""
     terms = []

@@ -305,13 +305,19 @@ def test_wide_ids_state_needs_uint16_ranks():
 
 
 @pytest.mark.parametrize("n", range(8))
-def test_inverse_permutation_table(n):
+def test_rearrangements_match_permuted_rows(n):
     perms = np.array(list(itertools.permutations(range(n))),
                      dtype=np.intp).reshape(math.factorial(n), n)
-    inverse, parity = sym._inverse_permutations(n)
-    assert np.array_equal(inverse, np.argsort(perms, axis=1))
-    assert (1 - 2 * parity).tolist() == [sym.permutation_parity(p) for p in perms]
-    assert inverse.dtype == parity.dtype == np.int8
+    parities = [sym.permutation_parity(p) for p in perms]
+    rng = np.random.default_rng(n)
+    for count in (1, 2, 3):
+        # few distinct ranks, so rows repeat ranks within and across terms
+        ranks = rng.integers(0, 3, size=(count, n)).astype(np.uint8)
+        rows, parity = sym._rearrangements(ranks)
+        want = np.stack([ranks[:, np.argsort(p)] for p in perms])
+        assert rows.dtype == ranks.dtype and parity.dtype == np.int8
+        assert np.array_equal(rows, want.reshape(len(perms), count, n))
+        assert (1 - 2 * parity).tolist() == parities
 
 
 def test_projector_size_guard():
@@ -670,6 +676,75 @@ def test_scalar_product_calls_overlap_once_per_mode_pair():
     assert sorted(calls) == [(i, j) for i in (0, 1, 2) for j in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("block", [sym._TERM_PAIR_BLOCK, 4096, 64])
+def test_scalar_product_in_blocks_matches_reference_loop(block, monkeypatch):
+    # 300 terms of 4 slots over 12 modes: about 140 distinct heads and tails
+    # a side, so the smaller budgets split b into many runs and give up the
+    # table of all of b's heads
+    rng = np.random.default_rng(3)
+    ov = random_unit_overlap(12, rng)
+    a, b = (random_state(4, 12, 300, rng) for _ in range(2))
+    runs = []
+    group_sums = sym._group_sums
+    monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", block)
+    monkeypatch.setattr(sym, "_group_sums",
+                        lambda *args: runs.append(1) or group_sums(*args))
+    want, mass = reference_scalar_product(a, b, ov)
+    assert abs(sym.scalar_product(a, b, ov) - want) <= 1e-12 * mass
+    assert len(runs) >= (2 if block == sym._TERM_PAIR_BLOCK else 6)
+
+
+def test_scalar_product_of_zero_and_one_particle_states():
+    ov = random_unit_overlap(4)
+    empty = [sym._canonical(0, [(0.5 - 2j, ())]), sym.NParticleState(
+        0, (sym.ProductTerm(1.5, ()), sym.ProductTerm(-0.25j, ())))]
+    single = [random_state(1, 4, 3), sym.NParticleState(1, tuple(
+        sym.ProductTerm(c, (m,)) for c, m in ((1j, 3), (2.0, 0), (-1.0, 3))))]
+    for states in (empty, single):
+        for a in states:
+            for b in states:
+                want, mass = reference_scalar_product(a, b, ov)
+                assert abs(sym.scalar_product(a, b, ov) - want) <= 1e-12 * mass
+
+
+def test_scalar_product_of_states_whose_half_rows_overflow_one_key():
+    # 20 slots a half over 40 modes: 40^20 does not fit in an int64 key,
+    # so the partial keys are ranked again part way
+    rng = np.random.default_rng(4)
+    ov = random_unit_overlap(40, rng)
+    a, b = (random_state(40, 40, 6, rng) for _ in range(2))
+    for x, y in ((a, b), (a, a)):
+        want, mass = reference_scalar_product(x, y, ov)
+        assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+
+
+def test_scalar_product_of_non_canonical_states():
+    # terms kept in the given order: unsorted, with repeated mode rows
+    ov = random_unit_overlap(5)
+    rows = [(4, 0, 2), (1, 1, 3), (4, 0, 2), (0, 3, 3), (1, 1, 3), (2, 4, 0)]
+    a = sym.NParticleState(3, tuple(
+        sym.ProductTerm(complex(k + 1, 2 - k), m) for k, m in enumerate(rows)))
+    b = sym.NParticleState(3, tuple(
+        sym.ProductTerm(complex(1 - k, k / 2), m) for k, m in enumerate(rows[::-1])))
+    for x, y in ((a, b), (b, a), (a, sym.symmetrize(a)), (random_state(3, 5, 8), a)):
+        want, mass = reference_scalar_product(x, y, ov)
+        assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+
+
+def test_scalar_product_of_benchmark_pair_peaks_under_2_5_mb():
+    # two symmetrized n = 6 products of distinct modes: 720 x 720 term pairs
+    ov = random_unit_overlap(12)
+    a = sym.symmetrize(sym.product_state((0, 2, 4, 6, 8, 10)))
+    b = sym.symmetrize(sym.product_state((1, 2, 3, 5, 7, 11)))
+    tracemalloc.start()
+    try:
+        sym.scalar_product(a, b, ov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (1 << 20)
+
+
 def test_projector_moves_across_scalar_product():
     ov = random_unit_overlap(4)
     a = random_state(3, 4, 2)
@@ -900,10 +975,10 @@ def test_permanent_guards():
 
 
 def test_antisymmetrized_overlap_is_determinant():
-    ov = random_unit_overlap(5)
-    for n in (2, 3, 4):
+    ov = random_unit_overlap(7)
+    for n in (2, 3, 4, 5, 6):
         a_modes = list(range(n))
-        b_modes = list(RNG.permutation(5)[:n])
+        b_modes = list(RNG.permutation(7)[:n])
         a = sym.antisymmetrize(sym.product_state(a_modes))
         b = sym.antisymmetrize(sym.product_state(b_modes))
         m = sym.overlap_matrix(a_modes, b_modes, ov)
