@@ -4,17 +4,19 @@ A state of n particles is a finite sum of product terms; each term
 assigns one single-particle mode to each Hilbert-space slot and carries a
 complex coefficient.  A state holds its terms as two read-only arrays:
 ``modes``, one row of n mode ids per term (T x n int64), and ``coeffs``
-(T complex).  Every operation here forms its result through one merge.
+(T complex).  The state operations form their result through one merge.
 Each mode id is replaced by its rank among the distinct ids, in the
 smallest unsigned dtype that holds the ranks, and each rank row packs
 into one uint64 key, slot 0 most significant (a second word only past
 64 bits).  A stable sort of the keys groups equal rows in lexicographic
 order, each group's coefficients are summed from 0j in input order, the
 arithmetic of a dict merge, and only the kept rows are mapped back to
-ids.  The projectors expand the rank rows into their n! rearrangements
-directly, with no permutation table, and ``scalar_product`` meets in the
-middle of the slots instead of looping over term pairs.  ``state.terms``
-is built from the arrays on first read.
+ids.  The projectors merge only the terms' orbits, their sorted rows,
+and expand each kept orbit into its n!/prod(m_k!) distinct arrangements
+(m_k the multiplicities of its modes) in lexicographic order, so their
+cost follows the output, not len(terms) * n!.  ``scalar_product`` meets
+in the middle of the slots instead of looping over term pairs.
+``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
 permutations, the (anti)symmetrizer projectors
@@ -83,9 +85,11 @@ PERMANENT_MAX_N = 20
 # Column signs whose row sums the permanent tabulates up front.
 _PERMANENT_LOW_COLUMNS = 10
 
-# The projectors expand len(terms) * n! rows of n mode ids; past this the
-# call is a misuse.
+# The projectors write n!/prod(m_k!) rows of n mode ids for each orbit
+# whose coefficient sum is kept (n! each for antisymmetrize); past this
+# many rows, or past the ids of 9! rows of 9, the call is a misuse.
 PROJECTOR_MAX_ROWS = math.factorial(9)
+PROJECTOR_MAX_IDS = 9 * PROJECTOR_MAX_ROWS
 
 # Complex entries in each temporary of scalar_product.
 _TERM_PAIR_BLOCK = 1 << 16
@@ -244,11 +248,10 @@ def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, ranks.reshape(rows.shape).astype(dtype)
 
 
-def _merge(ranks: np.ndarray, size: int,
-           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index and coefficient sum (from 0j in input order, as a dict
-    merge adds) of each distinct rank row, in lexicographic order.  Rows
-    pack into uint64 words, ``bits`` a slot, slot 0 highest (n = 0: one zero word)."""
+def _row_words(ranks: np.ndarray, size: int) -> list[np.ndarray]:
+    """The rank rows (ranks below ``size``) packed into uint64 words,
+    ``bits`` a slot, slot 0 highest (n = 0: one zero word), so that the
+    words, the first most significant, order the rows lexicographically."""
     count, n = ranks.shape
     bits = max(1, (size - 1).bit_length())
     per_word = 64 // bits
@@ -257,6 +260,17 @@ def _merge(ranks: np.ndarray, size: int,
         word = words[k // per_word]
         word <<= bits
         word |= ranks[:, k]
+    return words
+
+
+def _merge(ranks: np.ndarray, size: int,
+           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index and coefficient sum (from 0j in input order, as a dict
+    merge adds) of each distinct rank row, in lexicographic order."""
+    count = len(ranks)
+    if count == 1:
+        return np.zeros(1, dtype=np.intp), coeffs + 0  # 0j + c
+    words = _row_words(ranks, size)
     order = np.lexsort(words[::-1])
     starts = np.zeros(count, dtype=bool)
     for word in words:
@@ -307,7 +321,8 @@ def product_state(modes: Sequence[int], coeff: complex = 1.0) -> NParticleState:
 
 
 def zero_state(n: int) -> NParticleState:
-    return NParticleState(n, ())
+    return _fill(object.__new__(NParticleState), n, np.zeros((0, n), dtype=np.int64),
+                 np.zeros(0, dtype=complex), ())
 
 
 def add(a: NParticleState, b: NParticleState) -> NParticleState:
@@ -381,72 +396,177 @@ def permute_parameters(s: NParticleState, perm: Sequence[int]) -> NParticleState
     return _state(s.n, s.modes[:, perm], s.coeffs)
 
 
-def _rearrangements(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every slot permutation of every rank row, and the parity of each
-    permutation (1 for odd, int8).
+def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
+    """The distinct arrangements of a sorted row whose runs of equal ids
+    have lengths ``counts`` (the classes), as an (M, n) uint8 table of
+    class indices, row r the r-th arrangement in lexicographic order:
+    M = n! / prod(m_k!) rows.
 
-    Entry [p, i] is row i of ``ranks`` with slot k given the rank that
-    slot inverse_p[k] held, where inverse_p is the inverse of the p-th
-    permutation of 0..n-1 in lexicographic order: P_p applied to the row.
-    The permutations of size s are each first element f in front of the
-    permutations of the rest, renumbered past f, so each inverse is the
-    inverse of the rest, shifted up by one, with 0 put in at position f;
-    f adds f inversions, and a permutation and its inverse have the same
-    parity.  The recursion runs on the ranks themselves: at size s the
-    value put in at position f is column n - s, the column that 0 of size
-    s becomes after the n - s later shifts.  So no permutation table is
-    formed, and the rows come out in the ranks' own dtype.
+    The arrangements of a count tuple are, for each class c in turn, c
+    put in front of the arrangements of the tuple with one member of c
+    taken away.  When that empties c, the class leaves the tuple and the
+    child's indices >= c shift up by one; a run of single-member classes
+    shares that child.  The tables are built level by level, from one
+    member up, for the count tuples that the level above needs, so each
+    tuple is built once and only two levels are held at a time.  They are
+    built one arrangement per column, where every copy is contiguous, and
+    the last is transposed once.
     """
-    count, n = ranks.shape
-    rows = np.empty((1, count, 0), dtype=ranks.dtype)
-    parity = np.zeros(1, dtype=np.int8)
-    for size in range(1, n + 1):
-        column = ranks[:, n - size]
-        grown = np.empty((size, len(rows), count, size), dtype=ranks.dtype)
-        for f in range(size):
-            grown[f, :, :, :f] = rows[:, :, :f]
-            grown[f, :, :, f] = column
-            grown[f, :, :, f + 1:] = rows[:, :, f:]
-        rows = grown.reshape(-1, count, size)
-        parity = ((np.arange(size, dtype=np.int8)[:, None] + parity) & 1).ravel()
-    return rows, parity
+    levels = [[counts]]
+    while True:
+        below = {}
+        for level_counts in levels[-1]:
+            for _, _, child in _children(level_counts):
+                below[child] = None
+        if not below:
+            break
+        levels.append(list(below))
+    tables: dict = {}
+    for level in reversed(levels):
+        tables = {c: _prepend(c, tables) for c in level}
+    return np.ascontiguousarray(tables[counts].T)
+
+
+def _children(counts: tuple[int, ...]):
+    """(first class, end class, child counts) for each child tuple of
+    ``counts``, in class order; a single class has none."""
+    k = len(counts)
+    if k == 1:
+        return
+    c = 0
+    while c < k:
+        m = counts[c]
+        if m > 1:
+            yield c, c + 1, counts[:c] + (m - 1,) + counts[c + 1:]
+            c += 1
+        else:
+            end = c + 1
+            while end < k and counts[end] == 1:
+                end += 1
+            yield c, end, counts[:c] + counts[c + 1:]
+            c = end
+
+
+def _prepend(counts: tuple[int, ...], tables: dict) -> np.ndarray:
+    """The arrangement table of ``counts`` from its children's tables."""
+    if len(counts) <= 1:
+        return np.zeros((sum(counts), 1), dtype=np.uint8)
+    parts = [(c, end, tables[child]) for c, end, child in _children(counts)]
+    table = np.empty((sum(counts), sum((end - c) * child.shape[1]
+                                        for c, end, child in parts)), dtype=np.uint8)
+    start = 0
+    for c, end, child in parts:
+        stop = start + (end - c) * child.shape[1]
+        block = table[:, start:stop]
+        if counts[c] > 1:
+            block[0] = c
+            block[1:] = child
+        else:
+            classes = np.arange(c, end, dtype=np.uint8)[:, None]
+            block = block.reshape(len(table), end - c, child.shape[1])
+            block[0] = classes
+            rest = block[1:]
+            np.greater_equal(child[:, None], classes, out=rest)
+            rest += child[:, None]
+        start = stop
+    return table
 
 
 def _projector(s: NParticleState, signed: bool) -> NParticleState:
     n = s.n
     modes, coeffs = s.modes, s.coeffs
+    orbits = np.sort(modes, axis=1)
     if signed:
-        ordered = np.sort(modes, axis=1)
-        distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-        modes, coeffs = modes[distinct], coeffs[distinct]
+        distinct = np.all(orbits[:, 1:] != orbits[:, :-1], axis=1)
+        coeffs = coeffs[distinct]
     if not len(coeffs):
         return zero_state(n)
     if n == 0:
         return s  # the identity is the only permutation
-    rows = len(coeffs)
-    for k in range(2, n + 1):
-        rows *= k
-        if rows > PROJECTOR_MAX_ROWS:
+    if signed:
+        modes, orbits = modes[distinct], orbits[distinct]
+        # times the sign of the permutation that sorts the row: the parity
+        # of the row's inversions
+        inversions = np.triu(modes[:, :, None] > modes[:, None, :], 1).sum(axis=(1, 2))
+        coeffs = np.where(inversions & 1, -coeffs, coeffs)
+    ids, ranks = _ranked(orbits)
+    first, sums = _merge(ranks, len(ids), coeffs)
+    if not np.isfinite(sums).all():
+        raise ValueError("term coefficient must be finite")
+    kept = np.abs(sums) > COEFF_DROP_TOL
+    orbits, ranks, sums = orbits[first[kept]], ranks[first[kept]], sums[kept]
+    # The orbits by their runs of equal ids (a run starts where the id
+    # changes): the run lengths m_k pick the table, and the first slot of
+    # each run the id that the table's class index stands for.
+    starts = np.ones(orbits.shape, dtype=bool)
+    starts[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
+    groups: dict = {}
+    for orbit, row in enumerate(starts.tolist()):
+        groups.setdefault(tuple(row), []).append(orbit)
+    patterns = []
+    sizes = np.empty(len(sums))
+    rows = 0
+    for row, members in groups.items():
+        first_slots = [j for j, new in enumerate(row) if new]
+        runs = tuple(b - a for a, b in zip(first_slots, first_slots[1:] + [n]))
+        size = math.factorial(n) // math.prod(map(math.factorial, runs))
+        rows += size * len(members)
+        if rows > PROJECTOR_MAX_ROWS or rows * n > PROJECTOR_MAX_IDS:
             raise TooLarge(
                 f"projecting {len(coeffs)} terms of {n} particles expands past "
-                f"{PROJECTOR_MAX_ROWS} rows")
-    factorial = math.factorial(n)
-    # Row 0 holds c / n! and row 1 holds -c / n!, formed as (sign * c) / n!
-    # in that order so that each matches the scalar arithmetic exactly.
-    weights = np.array([[(sign * c) / factorial for c in coeffs.tolist()]
-                        for sign in (1, -1)])
-    ids, ranks = _ranked(modes)
-    # Row p * len(coeffs) + i is P_p applied to term i: the order of a loop
-    # over permutations outside a loop over terms.
-    expanded, parity = _rearrangements(ranks)
-    odd = parity if signed else np.zeros_like(parity)
-    return _state(n, expanded.reshape(rows, n), weights[odd].ravel(), ids)
+                f"{PROJECTOR_MAX_ROWS} rows or {PROJECTOR_MAX_IDS} mode ids")
+        members = np.array(members)
+        sizes[members] = size
+        patterns.append((runs, first_slots, members))
+    # c * prod(m_k!) / n! is c / M.  Each part is divided on its own, as
+    # Python's complex / int does (numpy's complex division multiplies by
+    # 1 / M), and + 0 and 0 - give the zeros of a sum from 0j.
+    weights = (sums.view(float).reshape(-1, 2) / sizes[:, None]).view(complex).ravel()
+    kept = np.abs(weights) > COEFF_DROP_TOL
+    several = np.count_nonzero(kept) > 1
+    signed_weights = np.stack([weights + 0, 0 - weights], axis=1)
+    mode_blocks, coeff_blocks, rank_blocks = [], [], []
+    for runs, first_slots, members in patterns:
+        members = members[kept[members]]
+        if not len(members):
+            continue
+        # Slot j of arrangement r holds the orbit's id (rank) at the start
+        # of run table[r, j].
+        table = _arrangements(runs)
+        mode_blocks.append(orbits[members][:, first_slots][:, table].reshape(-1, n))
+        coeff_blocks.append(signed_weights[members][:, _parities(n)].ravel() if signed
+                            else np.repeat(signed_weights[members, 0], len(table)))
+        if several:
+            rank_blocks.append(ranks[members][:, first_slots][:, table].reshape(-1, n))
+    if not mode_blocks:
+        return zero_state(n)
+    if not several:
+        return _fill(object.__new__(NParticleState), n, mode_blocks[0],
+                     coeff_blocks[0], None)
+    # The orbits are disjoint sets of rows: one sort puts them in order.
+    order = np.lexsort(_row_words(np.concatenate(rank_blocks), len(ids))[::-1])
+    return _fill(object.__new__(NParticleState), n, np.concatenate(mode_blocks)[order],
+                 np.concatenate(coeff_blocks)[order], None)
+
+
+def _parities(n: int) -> np.ndarray:
+    """The parity (1 for odd) of each permutation of n in lexicographic
+    order: putting f first adds f inversions to the permutation of the rest."""
+    parity = np.zeros(1, dtype=np.intp)
+    for size in range(2, n + 1):
+        parity = ((np.arange(size)[:, None] & 1) ^ parity).ravel()
+    return parity
 
 
 def symmetrize(s: NParticleState) -> NParticleState:
     """Projector (1/n!) sum_a P_a; idempotent in canonical form.
 
-    Raises TooLarge when len(terms) * n! exceeds PROJECTOR_MAX_ROWS.
+    Every rearrangement of a term lands in its orbit, the term's sorted
+    row, so the terms' coefficients are summed per orbit (from 0j in
+    input order), and an orbit with sum c and mode multiplicities m_k
+    gives its n!/prod(m_k!) distinct arrangements, each with coefficient
+    c * prod(m_k!)/n!.  Raises TooLarge when the orbits whose sum is kept
+    expand past PROJECTOR_MAX_ROWS rows or PROJECTOR_MAX_IDS mode ids.
     """
     return _projector(s, signed=False)
 
@@ -454,9 +574,13 @@ def symmetrize(s: NParticleState) -> NParticleState:
 def antisymmetrize(s: NParticleState) -> NParticleState:
     """Signed projector (1/n!) sum_a eps_a P_a; kills repeated modes.
 
-    Terms with a repeated mode are dropped before the expansion, so such
-    a product gives the zero state at once.  Raises TooLarge when the
-    remaining len(terms) * n! exceeds PROJECTOR_MAX_ROWS.
+    Terms with a repeated mode are dropped first, so such a product gives
+    the zero state at once.  Each other term's coefficient, times the
+    sign of the permutation that sorts its row, is summed into its orbit,
+    and an orbit with sum c gives its n! arrangements, each with
+    coefficient +-c/n! by the sign of the arrangement.  Raises TooLarge
+    when the orbits whose sum is kept expand past PROJECTOR_MAX_ROWS rows
+    or PROJECTOR_MAX_IDS mode ids.
     """
     return _projector(s, signed=True)
 

@@ -99,6 +99,50 @@ def reference_projector(s: sym.NParticleState, signed: bool) -> sym.NParticleSta
         if abs(c) > sym.COEFF_DROP_TOL))
 
 
+def reference_orbit_projector(s: sym.NParticleState, signed: bool) -> sym.NParticleState:
+    """(1/n!) sum_a (eps_a) P_a orbit by orbit: each term's coefficient
+    (times the sign of the permutation that sorts its row) is summed from
+    0j in input order into its sorted row, and each sorted row with sum c
+    gives its M distinct arrangements c / M each (times their sign)."""
+    orbits = {}
+    for t in s.terms:
+        order = sorted(range(s.n), key=t.modes.__getitem__)
+        row = tuple(t.modes[k] for k in order)
+        if signed and len(set(row)) < s.n:
+            continue
+        c = sym.permutation_parity(order) * t.coeff if signed else t.coeff
+        orbits[row] = orbits.get(row, 0j) + c
+    terms = []
+    for row, c in orbits.items():
+        if abs(c) <= sym.COEFF_DROP_TOL:
+            continue
+        arrangements = sorted(set(itertools.permutations(row)))
+        weight = c / len(arrangements)
+        for modes in arrangements:
+            sign = (sym.permutation_parity([row.index(m) for m in modes])
+                    if signed else 1)
+            terms.append((modes, 0j + sign * weight))
+    return sym.NParticleState(s.n, tuple(
+        sym.ProductTerm(c, m) for m, c in sorted(terms)
+        if abs(c) > sym.COEFF_DROP_TOL))
+
+
+def coefficient_mass(s: sym.NParticleState) -> float:
+    return sum(abs(t.coeff) for t in s.terms)
+
+
+def assert_close_terms(got, want, mass: float):
+    """Term-for-term agreement within 1e-13 of the coefficient mass, plus
+    the drop tolerance: a coefficient at the drop threshold may be kept on
+    one side only."""
+    tol = 1e-13 * mass + sym.COEFF_DROP_TOL
+    assert got.n == want.n
+    g = {t.modes: t.coeff for t in got.terms}
+    w = {t.modes: t.coeff for t in want.terms}
+    for modes in g.keys() | w.keys():
+        assert abs(g.get(modes, 0j) - w.get(modes, 0j)) <= tol, modes
+
+
 def reference_scalar_product(a, b, ov) -> tuple[complex, float]:
     """<a, b> by a loop over term pairs, and the sum of |term| it adds up."""
     total = 0j
@@ -238,6 +282,34 @@ def test_symmetrizer_idempotent_term_for_term():
         assert sym.states_close(anti_twice, anti_once, tol=1e-12)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_projectors_idempotent_term_for_term_past_n_4(n):
+    rng = np.random.default_rng(n)
+    distinct = [int(m) for m in rng.choice(40, n, replace=False)]
+    repeated = distinct[:1] * 3 + distinct[1:2] * 2 + distinct[2:n - 3]
+    states = [sym.product_state(distinct, 0.75 - 0.5j),
+              sym.product_state(list(rng.permutation(repeated)), -1.5 + 0.25j)]
+    if n == 6:
+        states.append(random_state(6, 4, 3, rng))
+    for s in states:
+        for project in (sym.symmetrize, sym.antisymmetrize):
+            once = project(s)
+            twice = project(once)
+            assert len(twice.terms) == len(once.terms)
+            assert_close_terms(twice, once, coefficient_mass(once))
+
+
+def test_sym_of_anti_is_zero_at_n_6():
+    rng = np.random.default_rng(6)
+    for s in (sym.product_state([5, 2, 9, 0, 7, 3], 1.0 + 2.0j),
+              random_state(6, 6, 4, rng), random_state(6, 8, 3, rng)):
+        zero = sym.zero_state(6)
+        for first, second in ((sym.antisymmetrize, sym.symmetrize),
+                              (sym.symmetrize, sym.antisymmetrize)):
+            once = first(s)
+            assert_close_terms(second(once), zero, coefficient_mass(once))
+
+
 def test_sym_of_anti_is_zero():
     for n in (2, 3, 4):
         s = random_state(n, n, 3)
@@ -284,8 +356,24 @@ LOW_ID, HIGH_ID = -2**63, 2**63 - 1
                             zip([1e16, 1.0, -1e16 + 3j, 0.5, 3.25e-3, -1.0 - 2e15j],
                                 itertools.permutations((4, 1, 9)))]))
 def test_projectors_match_reference_loop(s):
-    # Same arithmetic in the same order: equal to the last bit and the
-    # sign of zero, hence the repr comparison.
+    # Same arithmetic in the same order as the orbit loop: equal to the
+    # last bit and the sign of zero, hence the repr comparison.  The sum
+    # over all n! permutations adds in another order: equal within a
+    # tolerance.
+    for signed, project in ((False, sym.symmetrize), (True, sym.antisymmetrize)):
+        got = project(s)
+        assert_same_terms(got, reference_orbit_projector(s, signed))
+        assert_close_terms(got, reference_projector(s, signed), coefficient_mass(s))
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))), coefficients)
+@example([2, 0, 1], complex(-0.0, 1.0))
+@example([3, 1, 0, 2], complex(1.5, -0.0))
+@example([1, 0], complex(-2.0, 0.0))
+def test_projectors_of_distinct_products_match_reference_loop_bitwise(perm, c):
+    # One term of distinct modes: each output row of the n! loop is one
+    # 0j + (sign c) / n!, which the orbit route gives to the last bit.
+    s = sym.product_state([7 * m - 3 for m in perm], c)
     assert_same_terms(sym.symmetrize(s), reference_projector(s, signed=False))
     assert_same_terms(sym.antisymmetrize(s), reference_projector(s, signed=True))
 
@@ -304,20 +392,36 @@ def test_wide_ids_state_needs_uint16_ranks():
     assert len(np.unique(WIDE_IDS_STATE.modes)) > 255
 
 
+def sorted_permutations(row) -> np.ndarray:
+    rows = sorted(set(itertools.permutations(row)))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), len(row))
+
+
 @pytest.mark.parametrize("n", range(8))
-def test_rearrangements_match_permuted_rows(n):
-    perms = np.array(list(itertools.permutations(range(n))),
-                     dtype=np.intp).reshape(math.factorial(n), n)
-    parities = [sym.permutation_parity(p) for p in perms]
-    rng = np.random.default_rng(n)
-    for count in (1, 2, 3):
-        # few distinct ranks, so rows repeat ranks within and across terms
-        ranks = rng.integers(0, 3, size=(count, n)).astype(np.uint8)
-        rows, parity = sym._rearrangements(ranks)
-        want = np.stack([ranks[:, np.argsort(p)] for p in perms])
-        assert rows.dtype == ranks.dtype and parity.dtype == np.int8
-        assert np.array_equal(rows, want.reshape(len(perms), count, n))
-        assert (1 - 2 * parity).tolist() == parities
+def test_arrangements_match_sorted_permutations(n):
+    # every multiplicity pattern of n slots, in every order of the runs:
+    # distinct, all equal, (3, 2, 1, ...), (1, 2, 1, 2), ...
+    patterns = {tuple(len(list(g)) for _, g in itertools.groupby(row))
+                for row in itertools.product(range(3), repeat=n) if list(row) == sorted(row)}
+    patterns |= {(1,) * n, (n,), (3, 2) + (1,) * (n - 5), (1, 2, 1, 2)[:n]}
+    for runs in sorted(p for p in patterns if sum(p) == n and all(p)):
+        table = sym._arrangements(runs)
+        assert table.dtype == np.uint8 and table.flags.c_contiguous
+        classes = [k for k, m in enumerate(runs) for _ in range(m)]
+        want = sorted_permutations(classes)
+        assert table.shape == want.shape == (
+            math.factorial(n) // math.prod(map(math.factorial, runs)), n)
+        assert np.array_equal(table, want), runs
+    # the parity of each row of the distinct table, as a permutation
+    parity = sym._parities(n)
+    assert parity.dtype == np.intp
+    assert (1 - 2 * parity).tolist() == [
+        sym.permutation_parity(p) for p in itertools.permutations(range(n))]
+
+
+# Ten products of eight distinct modes, no two over the same modes.
+TEN_ORBITS_OF_EIGHT = sym._canonical(8, [(1.0 + k, tuple(range(k, k + 8)[::-1]))
+                                         for k in range(10)])
 
 
 def test_projector_size_guard():
@@ -326,15 +430,47 @@ def test_projector_size_guard():
         sym.symmetrize(big)
     with pytest.raises(TooLarge):
         sym.antisymmetrize(big)
-    # 10 terms x 8! rows is past 9!; 72 terms x 7! is exactly 9! and runs
+    # ten distinct orbits of eight distinct modes: 10 x 8! rows, past 9!
     assert 10 * math.factorial(8) > sym.PROJECTOR_MAX_ROWS
     with pytest.raises(TooLarge):
-        sym.symmetrize(random_state(8, 8, 10))
-    assert 72 * math.factorial(7) == sym.PROJECTOR_MAX_ROWS
-    perms = list(itertools.permutations(range(7)))[:72]
-    s = sym._canonical(7, [(1.0 + k, p) for k, p in enumerate(perms)])
-    assert len(s.terms) == 72
-    assert len(sym.symmetrize(s).terms) == math.factorial(7)
+        sym.symmetrize(TEN_ORBITS_OF_EIGHT)
+    with pytest.raises(TooLarge):
+        sym.antisymmetrize(TEN_ORBITS_OF_EIGHT)
+    # 9! rows of 9 ids is exactly at both bounds and runs; one row more raises
+    nine = sym.product_state(range(9))
+    assert len(sym.symmetrize(nine).coeffs) == sym.PROJECTOR_MAX_ROWS
+    assert 9 * sym.PROJECTOR_MAX_ROWS == sym.PROJECTOR_MAX_IDS
+    with pytest.raises(TooLarge):
+        sym.symmetrize(sym.add(nine, sym.product_state([7] * 9)))
+    # 1808 rows is few, but of 1808 ids each they pass the bound on ids
+    with pytest.raises(TooLarge):
+        sym.symmetrize(sym.product_state([0] * 1807 + [1]))
+
+
+def test_projectors_expand_each_orbit_once():
+    # one mode in twelve slots is its own orbit: the term comes back as is
+    c = 0.5 - 1.25j
+    assert sym.symmetrize(sym.product_state([7] * 12, c)).terms == (
+        sym.ProductTerm(c, (7,) * 12),)
+    # five and five: C(10, 5) rows of c 5! 5! / 10!
+    s = sym.product_state([1, 0] * 5, c)
+    out = sym.symmetrize(s)
+    assert len(out.terms) == 252 == math.comb(10, 5)
+    assert [t.modes for t in out.terms] == [tuple(r) for r in sorted_permutations([0] * 5 + [1] * 5)]
+    assert math.factorial(10) == 252 * math.factorial(5) ** 2
+    assert set(out.coeffs.tolist()) == {c / 252}
+
+
+def test_projector_of_two_runs_of_five_stays_small():
+    s = sym.product_state([0] * 5 + [1] * 5)
+    tracemalloc.start()
+    try:
+        sym.symmetrize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10! rows of 10 one-byte ranks would take 36 MB
+    assert peak < (math.factorial(10) * 10) // 100
 
 
 def test_antisymmetrize_repeated_mode_skips_expansion():
@@ -355,9 +491,12 @@ def test_cli_symmetrize_matches_reference_bytes(tmp_path, signed):
     out = io.StringIO()
     argv = ["symmetrize", "--input", str(path)] + (["--anti"] if signed else [])
     assert cli.run(argv, out) == 0
-    expected = reference_projector(cli._state_from_json(raw), signed)
+    state = cli._state_from_json(raw)
+    expected = reference_orbit_projector(state, signed)
     assert out.getvalue() == json.dumps(
         _state_to_json(expected), indent=2, sort_keys=True) + "\n"
+    assert_close_terms(cli._state_from_json(json.loads(out.getvalue())),
+                       reference_projector(state, signed), coefficient_mass(state))
 
 
 def test_cli_symmetrize_rejects_mode_ids_past_int64(tmp_path, capsys):
@@ -451,13 +590,17 @@ def test_state_operations_match_reference_dict_merge(case):
         (sym.scale(a, c), reference_scale(a, c)),
         (sym.permute_labels(a, perm), reference_permute_labels(a, perm)),
         (sym.permute_parameters(a, perm), reference_permute_parameters(a, perm)),
-        (sym.symmetrize(a), reference_projector(a, signed=False)),
-        (sym.antisymmetrize(b), reference_projector(b, signed=True)),
+        (sym.symmetrize(a), reference_orbit_projector(a, signed=False)),
+        (sym.antisymmetrize(b), reference_orbit_projector(b, signed=True)),
     ]
     for got, want in pairs:
         assert repr(got) == repr(want)
         assert got == want and hash(got) == hash(want)
         assert_canonical_arrays(got)
+    assert_close_terms(pairs[-2][0], reference_projector(a, signed=False),
+                       coefficient_mass(a))
+    assert_close_terms(pairs[-1][0], reference_projector(b, signed=True),
+                       coefficient_mass(b))
     for tol in (1e-12, 0.5):
         assert sym.states_close(a, b, tol) == reference_states_close(a, b, tol)
 
@@ -522,17 +665,15 @@ def test_mode_ids_past_int64_are_rejected(mode):
 
 
 def test_projector_size_guard_allocates_nothing():
-    perms = itertools.islice(itertools.permutations(range(8)), 10)
-    s = sym._canonical(8, [(1.0 + k, p) for k, p in enumerate(perms)])
     tracemalloc.start()
     try:
         for project in (sym.symmetrize, sym.antisymmetrize):
             with pytest.raises(TooLarge):
-                project(s)
+                project(TEN_ORBITS_OF_EIGHT)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 10 terms x 8! rows of 8 int64 ids would take 26 MB
+    # 10 orbits x 8! rows of 8 int64 ids would take 26 MB
     assert peak < 1 << 20
 
 
@@ -593,11 +734,14 @@ def test_packed_key_two_words_through_projectors():
     raw = list(zip(coeffs.tolist(), map(tuple, rows)))
     s = reference_canonical(5, raw)
     assert len(s.terms) >= 820 and len(np.unique(s.modes)) >= 4097
+    projected = sym.symmetrize(s)
     for got, want in ((sym._canonical(5, raw), s),
-                      (sym.symmetrize(s), reference_projector(s, signed=False))):
+                      (projected, reference_orbit_projector(s, signed=False))):
         # Bit-equal arrays: the repr comparison, without 100k reprs.
         assert np.array_equal(got.modes, want.modes)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert_close_terms(projected, reference_projector(s, signed=False),
+                       coefficient_mass(s))
 
 
 def test_packed_key_with_no_slots_and_the_zero_state():
