@@ -19,6 +19,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -145,6 +146,9 @@ def _emit_table(out, tables, fmt: str):
 def _cmd_evolve(args, cfg: Config, out) -> int:
     if args.t_samples < 1:
         raise ParseError(f"--t-samples must be at least 1, got {args.t_samples}")
+    if not math.isfinite(args.t_stop - args.t_start):
+        raise ValueError(f"--t-start and --t-stop must be finite and a finite distance "
+                         f"apart, got {args.t_start} and {args.t_stop}")
     packet = wavepacket.WavePacket(
         m0=args.m0, sigma=args.sigma, x0=args.x0, t0=args.t0, k0=args.k0,
         hbar=cfg.hbar,

@@ -49,6 +49,7 @@ def _snap_half_integer(value: float, name: str) -> float:
 class SpinorMode:
     """Spin-component eigenmode: total spin s, component m, azimuth chi.
 
+    s, m and chi must be finite; chi is kept modulo 2*pi.
     u is the opaque bundle of remaining external parameters (a WavePacket,
     a label, anything hashable); this module never looks inside it.
     """
@@ -59,6 +60,8 @@ class SpinorMode:
     u: Hashable = None
 
     def __post_init__(self):
+        # a non-finite chi would wrap to nan, which is unequal to itself
+        _check_finite(s=self.s, m=self.m, chi=self.chi)
         s = _snap_half_integer(self.s, "s")
         m = _snap_half_integer(self.m, "m")
         if s < 0:

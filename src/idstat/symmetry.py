@@ -6,16 +6,18 @@ complex coefficient.  A state holds its terms as two read-only arrays:
 ``modes``, one row of n mode ids per term (T x n int64), and ``coeffs``
 (T complex).  The state operations form their result through one merge.
 Each mode id is replaced by its rank among the distinct ids, in the
-smallest unsigned dtype that holds the ranks, and each rank row packs
-into one uint64 key, slot 0 most significant (a second word only past
-64 bits).  A stable sort of the keys groups equal rows in lexicographic
-order, each group's coefficients are summed from 0j in input order, the
-arithmetic of a dict merge, and only the kept rows are mapped back to
-ids.  The projectors merge only the terms' orbits, their sorted rows,
-and expand each kept orbit into its n!/prod(m_k!) distinct arrangements
-(m_k the multiplicities of its modes) in lexicographic order, so their
-cost follows the output, not len(terms) * n!.  ``scalar_product`` meets
-in the middle of the slots instead of looping over term pairs.
+smallest unsigned dtype that holds the ranks, and each rank row becomes
+one int64 key, its ranks the digits in base (distinct ids), slot 0 most
+significant; past 2^62 the partial keys are ranked again.  Every merge
+and sort of rows goes through that key: one stable sort groups equal
+rows in lexicographic order, each group's coefficients are summed from
+0j in input order, the arithmetic of a dict merge, and only the kept
+rows are mapped back to ids.  The projectors merge only the terms'
+orbits, their sorted rows, and expand each kept orbit into its
+n!/prod(m_k!) distinct arrangements (m_k the multiplicities of its
+modes) in lexicographic order, so their cost follows the output, not
+len(terms) * n!.  ``scalar_product`` meets in the middle of the slots
+instead of looping over term pairs.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -90,6 +92,9 @@ _PERMANENT_LOW_COLUMNS = 10
 # many rows, or past the ids of 9! rows of 9, the call is a misuse.
 PROJECTOR_MAX_ROWS = math.factorial(9)
 PROJECTOR_MAX_IDS = 9 * PROJECTOR_MAX_ROWS
+
+# Row keys stay below this, so that a key plus it still fits in an int64.
+_KEY_LIMIT = 1 << 62
 
 # Complex entries in each temporary of scalar_product.
 _TERM_PAIR_BLOCK = 1 << 16
@@ -248,60 +253,41 @@ def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, ranks.reshape(rows.shape).astype(dtype)
 
 
-def _row_words(ranks: np.ndarray, size: int) -> list[np.ndarray]:
-    """The rank rows (ranks below ``size``) packed into uint64 words,
-    ``bits`` a slot, slot 0 highest (n = 0: one zero word), so that the
-    words, the first most significant, order the rows lexicographically."""
-    count, n = ranks.shape
-    bits = max(1, (size - 1).bit_length())
-    per_word = 64 // bits
-    words = [np.zeros(count, dtype=np.uint64) for _ in range(max(1, -(-n // per_word)))]
-    for k in range(n):
-        word = words[k // per_word]
-        word <<= bits
-        word |= ranks[:, k]
-    return words
-
-
 def _merge(ranks: np.ndarray, size: int,
            coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index and coefficient sum (from 0j in input order, as a dict
-    merge adds) of each distinct rank row, in lexicographic order."""
-    count = len(ranks)
-    if count == 1:
+    merge adds) of each distinct rank row (ranks below ``size``), in
+    lexicographic order: the rows are grouped by their ``_row_keys``."""
+    if len(ranks) == 1:
         return np.zeros(1, dtype=np.intp), coeffs + 0  # 0j + c
-    words = _row_words(ranks, size)
-    order = np.lexsort(words[::-1])
-    starts = np.zeros(count, dtype=bool)
-    for word in words:
-        ordered = word[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    starts[:1] = True
-    group = np.empty(count, dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    sums = np.zeros(int(starts.sum()), dtype=complex)
+    _, first, group = np.unique(_row_keys(ranks, size), return_index=True,
+                                return_inverse=True)
+    sums = np.zeros(len(first), dtype=complex)
     # A sum past the float range is left as inf (or nan) for the caller
     # to refuse, as Python's complex arithmetic does without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(sums, group, coeffs)
-    return order[starts], sums
+    return first, sums
 
 
-def _state(n: int, rows: np.ndarray, coeffs: np.ndarray,
-           ids: np.ndarray | None = None) -> NParticleState:
-    """Canonical state of the rows and coefficients, merged in order: the
-    rows hold ranks into the sorted mode ids ``ids``, or without ids, mode
-    ids, which are ranked first; only the kept rows map back to ids."""
-    if ids is None:
-        ids, rows = _ranked(rows)
-    first, sums = _merge(rows, len(ids), coeffs)
+def _merged(rows: np.ndarray,
+            coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (mode ids) merged in order: the sorted distinct ids, and
+    the rank rows into them and the coefficient sums that are kept, the
+    sums at or below COEFF_DROP_TOL dropped.  A non-finite sum raises."""
+    ids, ranks = _ranked(rows)
+    first, sums = _merge(ranks, len(ids), coeffs)
     if not np.isfinite(sums).all():
         raise ValueError("term coefficient must be finite")
     keep = np.abs(sums) > COEFF_DROP_TOL
-    # The full sums and first are freed before the largest array, the ids, is made.
-    sums, first = sums[keep], first[keep]
-    modes = ids[rows.take(first, axis=0)]
-    return _fill(object.__new__(NParticleState), n, modes, sums, None)
+    return ids, ranks.take(first[keep], axis=0), sums[keep]
+
+
+def _state(n: int, rows: np.ndarray, coeffs: np.ndarray) -> NParticleState:
+    """Canonical state of the rows (mode ids) and coefficients, merged in
+    order; only the kept rows map back to ids."""
+    ids, ranks, sums = _merged(rows, coeffs)
+    return _fill(object.__new__(NParticleState), n, ids[ranks], sums, None)
 
 
 def _canonical(n: int, raw_terms) -> NParticleState:
@@ -475,26 +461,22 @@ def _prepend(counts: tuple[int, ...], tables: dict) -> np.ndarray:
 def _projector(s: NParticleState, signed: bool) -> NParticleState:
     n = s.n
     modes, coeffs = s.modes, s.coeffs
+    if n == 0:
+        return _state(0, modes, coeffs)  # the identity is the only permutation
     orbits = np.sort(modes, axis=1)
     if signed:
         distinct = np.all(orbits[:, 1:] != orbits[:, :-1], axis=1)
         coeffs = coeffs[distinct]
     if not len(coeffs):
         return zero_state(n)
-    if n == 0:
-        return s  # the identity is the only permutation
     if signed:
         modes, orbits = modes[distinct], orbits[distinct]
         # times the sign of the permutation that sorts the row: the parity
         # of the row's inversions
         inversions = np.triu(modes[:, :, None] > modes[:, None, :], 1).sum(axis=(1, 2))
         coeffs = np.where(inversions & 1, -coeffs, coeffs)
-    ids, ranks = _ranked(orbits)
-    first, sums = _merge(ranks, len(ids), coeffs)
-    if not np.isfinite(sums).all():
-        raise ValueError("term coefficient must be finite")
-    kept = np.abs(sums) > COEFF_DROP_TOL
-    orbits, ranks, sums = orbits[first[kept]], ranks[first[kept]], sums[kept]
+    ids, ranks, sums = _merged(orbits, coeffs)
+    orbits = ids[ranks]
     # The orbits by their runs of equal ids (a run starts where the id
     # changes): the run lengths m_k pick the table, and the first slot of
     # each run the id that the table's class index stands for.
@@ -544,7 +526,8 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
         return _fill(object.__new__(NParticleState), n, mode_blocks[0],
                      coeff_blocks[0], None)
     # The orbits are disjoint sets of rows: one sort puts them in order.
-    order = np.lexsort(_row_words(np.concatenate(rank_blocks), len(ids))[::-1])
+    # Each block is already in order, which a stable sort (timsort) exploits.
+    order = np.argsort(_row_keys(np.concatenate(rank_blocks), len(ids)), kind="stable")
     return _fill(object.__new__(NParticleState), n, np.concatenate(mode_blocks)[order],
                  np.concatenate(coeff_blocks)[order], None)
 
@@ -665,11 +648,10 @@ def _halves(slots: np.ndarray, split: int, base: int, by_tail: bool):
     every head key.
     """
     count = len(slots)
-    offset = 1 << 62
-    keys = np.concatenate([_row_keys(slots[:, :split], base, offset),
-                           _row_keys(slots[:, split:], base, offset) + offset])
+    keys = np.concatenate([_row_keys(slots[:, :split], base),
+                           _row_keys(slots[:, split:], base) + _KEY_LIMIT])
     distinct, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    heads = int(np.searchsorted(distinct, offset))
+    heads = int(np.searchsorted(distinct, _KEY_LIMIT))
     head, tail = index[:count], index[count:] - heads
     order = np.argsort(tail if by_tail else head, kind="stable")
     head, tail = head[order], tail[order]
@@ -679,14 +661,16 @@ def _halves(slots: np.ndarray, split: int, base: int, by_tail: bool):
             head, tail, starts)
 
 
-def _row_keys(rows: np.ndarray, base: int, limit: int) -> np.ndarray:
-    """One int64 key below ``limit`` per row of entries below ``base``,
-    ordered as the rows are lexicographically: the columns in that base,
-    the partial keys ranked again before a column would pass the limit."""
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key below _KEY_LIMIT per row of entries below ``base``,
+    ordered as the rows are lexicographically, so equal rows and only
+    they share a key: the columns are digits in that base, slot 0 most
+    significant, and the partial keys are ranked again (np.unique) before
+    a column would take them past the limit.  No columns: every key 0."""
     key = np.zeros(len(rows), dtype=np.int64)
     bound = 1
     for column in rows.T:
-        if bound * base > limit:
+        if bound * base > _KEY_LIMIT:
             key = np.unique(key, return_inverse=True)[1]
             bound = int(key.max()) + 1
         key = key * base + column

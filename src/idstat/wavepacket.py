@@ -106,6 +106,7 @@ class WavePacket:
 class Grid:
     """Uniform spatial grid used for quadrature.
 
+    The bounds must be finite, with x_min < x_max and a finite width.
     n_points must be at least 16; powers of two are convenient but not
     required.
     """
@@ -115,6 +116,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        # inf - x and nan - x are not finite, nor is a width past the float range
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError("Grid requires finite x_min and x_max a finite distance apart")
         if not (self.x_min < self.x_max):
             raise ValueError("Grid requires x_min < x_max")
         if self.n_points < 16:

@@ -295,6 +295,22 @@ def test_evolve_without_time_samples_exits_2(capsys, samples):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--t-start", "nan"], "--t-start and --t-stop must be finite"),
+    (["--t-stop", "inf"], "--t-start and --t-stop must be finite"),
+    (["--t-start=-1e308", "--t-stop", "1e308"], "--t-start and --t-stop must be finite"),
+    (["--xmin=-inf"], "Grid requires finite x_min and x_max"),
+    (["--xmax", "nan"], "Grid requires finite x_min and x_max")])
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_evolve_non_finite_input_exits_2(capsys, argv, message):
+    code, text = _run(["evolve", "--points", "16", *argv])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {message}")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("stat", ["bose", "fermi"])
 def test_count_formula_matches_oracle(stat):
     for n in range(0, 6):

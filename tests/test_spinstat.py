@@ -78,6 +78,25 @@ def test_spinor_mode_validation():
     assert 0.0 <= mode.chi < 2 * math.pi
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chi", math.inf), ("chi", -math.inf), ("chi", math.nan),
+    ("s", math.inf), ("m", math.nan)])
+def test_spinor_mode_rejects_non_finite_fields(field, value):
+    fields = {"s": 0.5, "m": 0.5, "chi": 0.5, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ss.SpinorMode(**fields)
+
+
+def test_equal_spinor_modes_share_an_id_and_overlap_one():
+    # chi is kept modulo 2*pi, so chi and chi + 2*pi are one mode
+    reg = sym.ModeRegistry()
+    i = reg.register(ss.SpinorMode(s=0.5, m=0.5, chi=0.5))
+    assert reg.register(ss.SpinorMode(s=0.5, m=0.5, chi=0.5)) == i
+    assert reg.register(ss.SpinorMode(s=0.5, m=0.5, chi=0.5 + 2 * math.pi)) == i
+    assert len(reg) == 1
+    assert ss.SpinorOverlap(reg)(i, i) == 1.0
+
+
 def test_exchanged_pair_spin_zero_is_symmetric():
     reg = sym.ModeRegistry()
     a = ss.SpinorMode(s=0.0, m=0.0, chi=0.2, u="left")

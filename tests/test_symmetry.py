@@ -721,8 +721,9 @@ def test_packed_key_with_wide_ranks_matches_reference_dict_merge(n, n_ids):
     assert not sym.states_close(a, b2)
 
 
-def test_packed_key_two_words_through_projectors():
-    # 5 slots of 13-bit ranks (4097..8192 ids) take 65 bits: two words.
+def test_packed_key_with_wide_ranks_through_projectors():
+    # 5 slots over 4097..4100 ids: keys up to 4100^5 < 2^62, so one key
+    # per row, with no ranking again.
     # 820 terms of 5 distinct ids, then rearrangements of some terms (they
     # merge under the projectors) and terms sharing four ids with another.
     rng = np.random.default_rng(11)
@@ -742,6 +743,64 @@ def test_packed_key_two_words_through_projectors():
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
     assert_close_terms(projected, reference_projector(s, signed=False),
                        coefficient_mass(s))
+
+
+@pytest.mark.parametrize("n, base", [(4, 50), (9, 200)])
+def test_row_keys_order_rows_lexicographically(n, base):
+    # 50^4 keys fit below 2^62 as they are; 200^9 > 2^62, so the partial
+    # keys are ranked again before the last columns.
+    rng = np.random.default_rng(base)
+    rows = rng.integers(0, base, size=(3000, n)).astype(np.min_scalar_type(base - 1))
+    rows[1000:1500] = rows[:500]  # equal rows
+    rows[1500:1600, :-1] = rows[:100, :-1]  # rows that differ only in the last slot
+    rows[1600:1700, 1:] = rows[:100, 1:]  # ... only in the first slot
+    keys = sym._row_keys(rows, base)
+    assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() < 1 << 62
+    assert (base ** n > 1 << 62) == (n == 9)
+    order = {row: rank for rank, row in enumerate(sorted(set(map(tuple, rows.tolist()))))}
+    assert np.array_equal(np.unique(keys, return_inverse=True)[1],
+                          [order[row] for row in map(tuple, rows.tolist())])
+    assert np.array_equal(sym._row_keys(rows[:, :0], base), np.zeros(3000))
+
+
+def test_projector_of_orbits_past_one_key_matches_reference():
+    # 600 orbits of 6 slots, each one id four times and two more, over 1800
+    # ids: 1800^6 > 2^64, so both the merge of the orbits and the sort of
+    # their 30 arrangements must rank the partial keys again.  200 terms
+    # are rearrangements of others, which merge into their orbit.
+    rng = np.random.default_rng(17)
+    ids = (rng.choice(np.iinfo(np.int64).max, 1800, replace=False)
+           - (1 << 62)).reshape(600, 3).tolist()
+    rows = [[a] * 4 + [b, c] for a, b, c in ids]
+    rows += [[r[k] for k in rng.permutation(6)] for r in rows[:200]]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    s = sym._canonical(6, list(zip(coeffs.tolist(), rows)))
+    assert len(np.unique(s.modes)) ** 6 > 1 << 64
+    got, want = sym.symmetrize(s), reference_orbit_projector(s, signed=False)
+    assert len(want.terms) == 600 * 30
+    assert np.array_equal(got.modes, want.modes)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert_canonical_arrays(got)
+    assert sym.antisymmetrize(s).is_zero
+
+
+@pytest.mark.parametrize("coeffs, zero", [
+    ((1.0, -1.0), True),
+    ((1.5 - 2j, 0.25j, -1.5), False),
+    ((0.5, 1e-15), False),
+    ((1e-15,), True),
+    ((3e-14, -2.5e-14, 1e-15), True),
+    ((3e-14, -1e-14), False),
+])
+def test_projectors_of_non_canonical_no_slot_states(coeffs, zero):
+    # The identity is the only permutation of no slots, so the projectors
+    # return the merged state: terms that cancel leave the zero state.
+    s = sym.NParticleState(0, [sym.ProductTerm(c, ()) for c in coeffs])
+    for signed, project in ((False, sym.symmetrize), (True, sym.antisymmetrize)):
+        got, want = project(s), reference_orbit_projector(s, signed)
+        assert repr(got) == repr(want) and got == want
+        assert_canonical_arrays(got)
+        assert got.is_zero == zero
 
 
 def test_packed_key_with_no_slots_and_the_zero_state():

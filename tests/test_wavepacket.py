@@ -243,3 +243,12 @@ def test_packet_validation():
         wp.Grid(1.0, -1.0, 64)
     with pytest.raises(ValueError):
         wp.Grid(-1.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("x_min, x_max", [
+    (-math.inf, 1.0), (-1.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0),
+    (-1.0, math.nan), (-1e308, 1e308)])
+def test_grid_requires_finite_bounds(x_min, x_max):
+    # the last pair is finite, but its width overflows to inf
+    with pytest.raises(ValueError, match="finite"):
+        wp.Grid(x_min, x_max, 64)
