@@ -10,7 +10,12 @@ Output is deterministic for identical argv + config + seed; reals are
 written with 17 significant digits so they round-trip exactly.  Each
 table is formatted from its column arrays through one row template and
 written in one piece; a column with at most half as many distinct values
-as rows is formatted once per distinct value and gathered into it.
+as rows is formatted once per distinct value and gathered into it.  A
+state (``symmetrize``) is written as ``json.dumps`` writes it, joined from
+a few pieces per term: the coefficient parts with their JSON text, then
+the mode ids one pair of slots a piece, from a table of the d^2 id-pair
+texts when d^2 (d distinct ids) is no more than the terms, else one slot
+a piece.
 """
 
 from __future__ import annotations
@@ -87,7 +92,9 @@ def load_config(path: str) -> Config:
 
 def _texts(values: np.ndarray, fmt: str, most: int | None = None):
     """``fmt % v`` for every value, as an object array of ``str`` shaped
-    like ``values``, formatting each distinct value once.
+    like ``values``, formatting each distinct value once.  ``fmt`` may
+    hold newlines and other text around its one value: the texts are
+    formatted in one string and split at NUL, which no text here holds.
 
     Floats are keyed by their bit pattern, so -0.0 keeps its sign and each
     NaN or infinity formats as itself; other dtypes are keyed by value.
@@ -102,8 +109,8 @@ def _texts(values: np.ndarray, fmt: str, most: int | None = None):
         if np.count_nonzero(ordered[1:] != ordered[:-1]) >= most:
             return None
     distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = ((fmt + "\n") * distinct.size
-             % tuple(distinct.view(flat.dtype).tolist())).split("\n")[:-1]
+    texts = ((fmt + "\0") * distinct.size
+             % tuple(distinct.view(flat.dtype).tolist())).split("\0")[:-1]
     return np.array(texts, dtype=object)[inverse].reshape(values.shape)
 
 
@@ -156,7 +163,13 @@ def _cmd_evolve(args, cfg: Config, out) -> int:
     grid = wavepacket.Grid(args.xmin, args.xmax, args.points)
     times = np.linspace(args.t_start, args.t_stop, args.t_samples)
     xs = grid.points()
-    psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    # At a huge |t - t0| or x the intermediates pass the float range and
+    # psi is inf or nan, which is refused; a far row whose amplitude
+    # underflows to an exact zero is kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    if not np.isfinite(psi).all():
+        raise ValueError("psi passes the float range on this grid and time range")
     columns = [np.repeat(times, xs.size), np.tile(xs, times.size),
                psi.real, psi.imag, np.abs(psi) ** 2]
     _emit_table(out, [("evolve", ["t", "x", "re", "im", "density"], columns)], args.format)
@@ -186,29 +199,41 @@ def _state_text(state: symmetry.NParticleState) -> str:
     the object ``{"schema", "n", "terms": [{"coeff": [re, im], "modes"}]}``,
     filled in from the state's arrays by one join.
 
-    The head, each term's fixed JSON text around its values, the values
-    and the closing lines go into one object array, so the text is built
-    once.  Each distinct value is formatted once by ``_texts``, as json
-    writes it: coefficient parts through ``%r`` (float.__repr__; a
-    state's coefficients are finite, and -0.0 keeps its sign) and mode ids
-    through ``%d``.
+    Each term is two coefficient pieces, each value with the JSON text
+    around it folded in, then its mode ids.  Each distinct value is
+    formatted once, as json writes it: coefficient parts by ``_texts``
+    through ``%r`` (float.__repr__; a state's coefficients are finite, and
+    -0.0 keeps its sign) and mode ids through ``str``.  With d distinct
+    ids and d^2 no more than the terms, the ids go in one piece per pair
+    of slots, gathered from a table of the d^2 id-pair texts (a last odd
+    slot alone); otherwise in one piece per slot, so the table never
+    outgrows the output.  A term's last piece carries its closing text,
+    and the last term's the state's.
     """
     count, n = state.modes.shape
     head = f'{{\n  "n": {state.n},\n  "schema": {_STATE_SCHEMA},\n  "terms": ['
     if not count:
         return head + "]\n}"
-    modes = ("[\n" + ",\n".join(["        %s"] * n) + "\n      ]") if n else "[]"
-    # the text before each of a term's n + 2 values, and after the last
-    fixed = ('\n    {\n      "coeff": [\n        %s,\n        %s\n      ],\n'
-             f'      "modes": {modes}\n    }},').split("%s")
-    parts = np.empty(count * (2 * n + 5) + 2, dtype=object)
-    parts[0], parts[-1] = head, "\n  ]\n}"
-    terms = parts[1:-1].reshape(count, 2 * n + 5)
-    terms[:, ::2] = fixed
-    terms[-1, -1] = fixed[-1][:-1]  # no comma after the last term
-    terms[:, 1:4:2] = _texts(np.column_stack([state.coeffs.real, state.coeffs.imag]), "%r")
-    terms[:, 5::2] = _texts(state.modes, "%d")
-    return "".join(parts.tolist())
+    comma, close = ",\n        ", "\n      ]\n    },"
+    pieces = [_texts(state.coeffs.real, '\n    {\n      "coeff": [\n        %r' + comma),
+              _texts(state.coeffs.imag, '%r\n      ],\n      "modes": '
+                     + ("[\n        " if n else "[]\n    },"))]
+    if n:
+        distinct, ranks = np.unique(state.modes, return_inverse=True)
+        ranks = ranks.reshape(count, n)
+        texts = list(map(str, distinct.tolist()))
+        units, keys, last, last_key = texts, ranks[:, :-1], texts, ranks[:, -1]
+        d = len(texts)
+        if n > 1 and d * d <= count:
+            units = [a + comma + b for a in texts for b in texts]
+            keys = ranks[:, 0:n - 1:2] * d + ranks[:, 1::2]
+            if n % 2 == 0:
+                last, last_key, keys = units, keys[:, -1], keys[:, :-1]
+        pieces += [np.array([u + comma for u in units], dtype=object)[keys],
+                   np.array([u + close for u in last], dtype=object)[last_key]]
+    pieces = np.column_stack(pieces)
+    pieces[-1, -1] = pieces[-1, -1][:-1] + "\n  ]\n}"  # no comma after the last term
+    return head + "".join(pieces.ravel().tolist())
 
 
 def _cmd_symmetrize(args, cfg: Config, out) -> int:

@@ -17,7 +17,8 @@ orbits, their sorted rows, and expand each kept orbit into its
 n!/prod(m_k!) distinct arrangements (m_k the multiplicities of its
 modes) in lexicographic order, so their cost follows the output, not
 len(terms) * n!.  ``scalar_product`` meets in the middle of the slots
-instead of looping over term pairs.
+instead of looping over term pairs, and sums each group of terms as one
+sparse product.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -588,11 +589,15 @@ def scalar_product(a: NParticleState, b: NParticleState,
     tails of b, this is about T_a S_b + P_a T_b products and adds, plus
     P_a P_b h and S_a S_b (n - h) table entries, against the T_a T_b n of
     a loop over term pairs.  No count of distinct heads or tails exceeds
-    its state's term count, so it is never of a larger order.  b's terms,
-    sorted by tail, are taken in runs short enough that each temporary
-    (T_a by the run's tails, P_a by its terms or heads) stays within
-    _TERM_PAIR_BLOCK = 64k complex entries; only a single column can pass
-    it, when a has more terms or heads than that.
+    its state's term count, so it is never of a larger order.  Each group
+    sum is one sparse product (``_group_sums``): the coefficients are a
+    CSR matrix over the groups, so the table rows are read where they lie
+    and no term-by-column gather is formed.  b's terms, sorted by tail,
+    are taken in runs short enough that each temporary (a's tails or
+    heads by the run's tails, the run's heads or tails by a's heads)
+    stays within _TERM_PAIR_BLOCK = 64k complex entries; only a single
+    column can pass it, when a has more terms or heads than that.
+    scipy.sparse is imported on the first call.
     """
     if a.n != b.n:
         raise SizeMismatch(f"scalar product of {a.n}- and {b.n}-particle states")
@@ -623,14 +628,14 @@ def scalar_product(a: NParticleState, b: NParticleState,
         tails = slice(first, b_tail[stop - 1] + 1)
         # x[p, u]: a's terms summed by head against b's tails in the run
         r = _slot_products(table, a_tails, b_tails[tails])
-        x = _group_sums(r.take(a_tail, axis=0), ca, head_starts[:-1])
+        x = _group_sums(r, a_tail, ca, head_starts)
         # y[u, p]: b's terms in the run summed by tail against a's heads
         head = b_head[start:stop]
         if not whole:
             heads, head = np.unique(head, return_inverse=True)
             lt = _slot_products(table_t, b_heads[heads], a_heads)
-        y = _group_sums(lt.take(head, axis=0), cb[start:stop],
-                        np.maximum(tail_starts[tails], start) - start)
+        y = _group_sums(lt, head, cb[start:stop],
+                        np.clip(tail_starts[first:tails.stop + 1], start, stop) - start)
         total += np.einsum("pu,up->", x, y)
         start = stop
     return complex(total)
@@ -689,12 +694,17 @@ def _slot_products(table: np.ndarray, a_rows: np.ndarray,
     return out
 
 
-def _group_sums(rows: np.ndarray, coeffs: np.ndarray,
+def _group_sums(rows: np.ndarray, index: np.ndarray, coeffs: np.ndarray,
                 starts: np.ndarray) -> np.ndarray:
-    """Sums of coeffs[i] * rows[i] over the runs of rows from each start;
-    ``rows`` is a fresh gather and is scaled in place."""
-    rows *= coeffs[:, None]
-    return np.add.reduceat(rows, starts)
+    """G[g] = sum of coeffs[i] * rows[index[i]] over i in starts[g] to
+    starts[g + 1], as one sparse product: the coefficients are the
+    entries of a CSR matrix whose rows are the groups, so no gather of
+    ``rows`` is formed.  scipy.sparse is imported here, on the first
+    scalar product, so that the CLI commands that never take one start
+    without it."""
+    from scipy.sparse import csr_array
+
+    return csr_array((coeffs, index, starts), shape=(len(starts) - 1, len(rows))) @ rows
 
 
 def _mode_indices(s: NParticleState) -> tuple[list[int], np.ndarray]:
@@ -772,15 +782,19 @@ def permanent(m) -> complex:
     (prod_j d_j) prod_i sum_j d_j M[i, j] (Glynn 2010): half of Ryser's
     2^n terms.  The row sums for every sign choice of columns 1..k,
     k = min(n - 1, 10), are tabulated once by doubling (each new sign
-    subtracts twice a column); the other n - 1 - k signs are walked in
-    Gray-code order (Nijenhuis-Wilf), each step one table add, one
-    product over rows and one dot with the real signs.  Guarded to
+    subtracts twice a column) into one (n, 2^k) table; the other n - 1 - k
+    signs are walked in Gray-code order (Nijenhuis-Wilf), and each step
+    adds the flipped column's move (-2 or +2 times it, both made before
+    the walk) to the table in place, then takes one product over rows
+    into a reused buffer and one dot with the real signs.  Guarded to
     n <= 20.
 
     Accuracy, measured on the scrambled J_n - I, J_n and block-triangular
-    references at n = 12..18, seeds 0..19: the largest miss was 5.4e-15 of
-    perm(|M|) (Ryser's sum: 4.7e-12).  On Gram matrices of 20 Gaussian
-    packets Im/Re was 6e-16 to 7e-15 (Ryser's sum: 3e-10 to 5e-9).
+    references (benchmarks/workloads.known_permanent) at n = 12..18, seeds
+    0..19: the largest miss was 8.0e-15 of perm(|M|) (5.4e-15 with the
+    high signs summed apart from the table; Ryser's sum: 4.7e-12).  On
+    Gram matrices of 20 Gaussian packets Im/Re was 4e-16 to 2e-14
+    (Ryser's sum: 3e-10 to 5e-9).
     """
     m = _check_square(m)
     n = m.shape[0]
@@ -789,23 +803,25 @@ def permanent(m) -> complex:
     if n == 0:
         return 1 + 0j
     k = min(n - 1, _PERMANENT_LOW_COLUMNS)
-    low_sums = np.empty((n, 1 << k), dtype=complex)
-    low_sums[:, 0] = m.sum(axis=1)
+    row_sums = np.empty((n, 1 << k), dtype=complex)
+    row_sums[:, 0] = m.sum(axis=1)
     low_signs = np.ones(1 << k)
     for j in range(k):
         half = 1 << j
-        low_sums[:, half:2 * half] = low_sums[:, :half] - 2 * m[:, j + 1:j + 2]
+        row_sums[:, half:2 * half] = row_sums[:, :half] - 2 * m[:, j + 1:j + 2]
         low_signs[half:2 * half] = -low_signs[:half]
-    high_sum = np.zeros((n, 1), dtype=complex)
-    row_sums = np.empty_like(low_sums)
-    total = low_signs @ np.prod(low_sums, axis=0)
+    # each walked column's two moves, back to sign +1 and to -1, indexed
+    # by the column's new Gray-code bit
+    moves = [(2 * m[:, c:c + 1], -2 * m[:, c:c + 1]) for c in range(k + 1, n)]
+    products = np.multiply.reduce(row_sums, axis=0)
+    total = low_signs @ products
     gray = 0
     for step in range(1, 1 << (n - 1 - k)):
         j = (step & -step).bit_length() - 1
         gray ^= 1 << j
-        high_sum -= (2 if gray >> j & 1 else -2) * m[:, k + 1 + j:k + 2 + j]
-        np.add(low_sums, high_sum, out=row_sums)
-        total += (-1) ** gray.bit_count() * (low_signs @ np.prod(row_sums, axis=0))
+        row_sums += moves[j][gray >> j & 1]
+        np.multiply.reduce(row_sums, axis=0, out=products)
+        total += (-1) ** gray.bit_count() * (low_signs @ products)
     return complex(total / (1 << (n - 1)))
 
 

@@ -311,6 +311,29 @@ def test_evolve_non_finite_input_exits_2(capsys, argv, message):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_evolve_refuses_psi_past_the_float_range(capsys):
+    # finite inputs whose |t - t0| or x**2 pass the float range
+    for argv in (["--t-stop", "1e308", "--t-samples", "2"], ["--xmax", "1e300"]):
+        code, text = _run(["evolve", "--points", "16", *argv])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: psi passes the float range")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_keeps_far_rows_that_underflow_to_zero():
+    # at t = t0 the far rows' amplitudes are exact zeros, not overflows
+    code, text = _run(["evolve", "--points", "16", "--xmax", "1e300", "--t-samples", "1"])
+    assert code == 0
+    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
+    assert len(rows) == 16
+    assert rows[0][2] > 0.0
+    assert all(row[2:] == (0.0, 0.0, 0.0) for row in rows[1:])
+
+
 @pytest.mark.parametrize("stat", ["bose", "fermi"])
 def test_count_formula_matches_oracle(stat):
     for n in range(0, 6):
@@ -386,6 +409,14 @@ def cli_states(draw):
 @example({"schema": 1, "n": 3, "terms": []})
 @example({"schema": 1, "n": 0, "terms": [{"coeff": [-0.0, 1e300], "modes": []}]})
 @example({"schema": 1, "n": 1, "terms": [{"coeff": [1e-300, -0.0], "modes": [2]}]})
+# odd n on the slot-pair path: 120 terms over d = 5 ids, d^2 = 25
+@example({"schema": 1, "n": 5, "terms": [{"coeff": [0.5, -2.0], "modes": [4, 0, 3, 1, 2]}]})
+# the int64 extremes beside small ids, slot pairs at even n (24 terms, d^2 = 16)
+@example({"schema": 1, "n": 4, "terms": [
+    {"coeff": [1.0, 0.25], "modes": [2**63 - 1, 0, -2**63, 1]}]})
+# d^2 = 36 past the 12 terms: one piece per slot
+@example({"schema": 1, "n": 3, "terms": [{"coeff": [1.0, 0.0], "modes": [0, 1, 2]},
+                                         {"coeff": [0.0, -3.0], "modes": [5, 4, 3]}]})
 def test_cli_symmetrize_prints_json_dumps_bytes(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "cli-state.json"
     path.write_text(json.dumps(raw))

@@ -74,11 +74,16 @@ def ryser_mass(m: np.ndarray) -> float:
     """sum over column subsets S of |prod_i sum_{j in S} M[i, j]|.
 
     Each Ryser term is formed with about n roundings, so a floating-point
-    Ryser permanent is good to about n * eps * ryser_mass(M).
+    Ryser permanent is good to about n * eps * ryser_mass(M).  The
+    subsets are taken 2^16 at a time, so n = 20 needs tens of MB, not ~1 GB.
     """
     n = m.shape[0]
-    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    return float(np.abs(np.prod(subsets @ m.T, axis=1)).sum())
+    step = 1 << min(n, 16)
+    total = 0.0
+    for start in range(0, 1 << n, step):
+        subsets = (np.arange(start, start + step)[:, None] >> np.arange(n)) & 1
+        total += float(np.abs(np.prod(subsets @ m.T, axis=1)).sum())
+    return total
 
 
 def reference_projector(s: sym.NParticleState, signed: bool) -> sym.NParticleState:
@@ -1114,7 +1119,9 @@ def test_permanent_of_ones_and_derangements(n):
 def test_permanent_block_triangular_factorizes():
     # At n = 13 there are ten tabulated columns and three walked in
     # Gray-code order, with the last diagonal block straddling the two.
-    for sizes, seed in (((3, 4, 5), 12), ((4, 5, 4), 13)):
+    # n = 18 and 20 walk the row-sum table in place for 127 and 511 steps.
+    for sizes, seed in (((3, 4, 5), 12), ((4, 5, 4), 13), ((6, 6, 6), 18),
+                        ((7, 7, 6), 20)):
         rng = np.random.default_rng(seed)
         n = sum(sizes)
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
