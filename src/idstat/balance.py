@@ -25,6 +25,14 @@ number, and (through channel energy conservation) the combined energy.
 ``equilibrium`` solves for the fixed point with those invariants
 directly.
 
+Channels come in two forms.  A ``CollisionChannel`` is one channel, the
+record for hand-built lists.  A ``ChannelColumns`` holds many channels as
+ten equal-length arrays named after ``CollisionChannel``'s fields;
+``standard_channels`` builds one with numpy.  ``relax``, ``scramble``,
+``balance_residuals`` and ``balance_residual`` take either form: a list is
+read into columns, and one packing step checks the columns and turns their
+energies into bin indices.
+
 The H-function of the kinetics is the Stirling packet entropy
 S = k * sum_bins [g ln g - sum_s c ln c], c = p * d_eps
 (``stirling_entropy``); the geometric ladder maximizes it per bin at
@@ -54,6 +62,7 @@ from .errors import (
 __all__ = [
     "CondensatePopulation",
     "CollisionChannel",
+    "ChannelColumns",
     "stationary_population",
     "standard_channels",
     "scramble",
@@ -198,6 +207,66 @@ class CollisionChannel:
         )
 
 
+_ENERGY_FIELDS = ("eps1_i", "eps1_f", "eps2_i", "eps2_f")
+_COUNT_FIELDS = ("n", "n_prime", "s", "r", "s_prime", "r_prime")
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelColumns:
+    """Many collision channels as columns: row k is one ``CollisionChannel``.
+
+    Each field is a 1-d array over the channels, named as the
+    ``CollisionChannel`` field it holds: the four energies as float64, the
+    transfer counts and orders as intp.  ``len()`` is the number of
+    channels.  Construction converts the columns and refuses arrays that
+    are not 1-d or not of one length, and negative counts or orders, as
+    ``CollisionChannel`` does.
+    """
+
+    eps1_i: np.ndarray
+    eps1_f: np.ndarray
+    eps2_i: np.ndarray
+    eps2_f: np.ndarray
+    n: np.ndarray
+    n_prime: np.ndarray
+    s: np.ndarray
+    r: np.ndarray
+    s_prime: np.ndarray
+    r_prime: np.ndarray
+
+    def __post_init__(self):
+        for names, dtype in ((_ENERGY_FIELDS, np.float64), (_COUNT_FIELDS, np.intp)):
+            for name in names:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({getattr(self, name).shape for name in _ENERGY_FIELDS + _COUNT_FIELDS}) != 1 \
+                or self.n.ndim != 1:
+            raise ValueError("channel columns must be 1-d arrays of one length")
+        counts = np.array([getattr(self, name) for name in _COUNT_FIELDS])
+        if (counts[:2] < 0).any():
+            raise ValueError("transfer counts must be nonnegative")
+        if (counts[2:] < 0).any():
+            raise ValueError("condensation orders must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.n.size
+
+
+# What the channel consumers accept: the column record, or a hand-built list.
+Channels = ChannelColumns | Sequence[CollisionChannel]
+
+
+def _columns(channels: Channels) -> ChannelColumns:
+    """channels as columns: a ``ChannelColumns`` as it is, a sequence of
+    ``CollisionChannel`` read field by field."""
+    if isinstance(channels, ChannelColumns):
+        return channels
+    fields = operator.attrgetter(*_ENERGY_FIELDS, *_COUNT_FIELDS)
+    cols = np.fromiter(itertools.chain.from_iterable(map(fields, channels)),
+                       dtype=float, count=10 * len(channels))
+    cols = cols.reshape(len(channels), 10).T
+    return ChannelColumns(*cols[:4], *cols[4:].astype(np.intp))
+
+
 def _ladder_moments(lx: np.ndarray, s_max: int):
     """Normalized ladders exp(s * lx), s = 0..s_max, per column, with
     their mean order and its variance (summed about the mean, which stays
@@ -257,7 +326,7 @@ def stationary_population(g_fn, b: float, c: float, energies,
     return CondensatePopulation(kind, energies, d_eps, w * (g_p / d_eps))
 
 
-def standard_channels(energies, s_max1: int, s_max2: int) -> list[CollisionChannel]:
+def standard_channels(energies, s_max1: int, s_max2: int) -> ChannelColumns:
     """Channel set whose detailed balance pins the full geometric form.
 
     Within-bin channels (s, s) -> (s-1, s+1) enforce a constant order
@@ -269,42 +338,59 @@ def standard_channels(energies, s_max1: int, s_max2: int) -> list[CollisionChann
     together).  The dyadic ladder gives slow long-wavelength imbalances a
     direct relaxation path; with only nearest-neighbor exchanges they die
     out diffusively.
+
+    The channels come as one ``ChannelColumns``, built with numpy, in this
+    order: per energy, species 1 at orders 1 .. s_max1 - 1, then species 2
+    at orders 1 .. s_max2 - 1; then, for each h, the same-window family and
+    the adjacent-window family, each by ascending window.  An empty or
+    non-finite energy grid, and s_max1 or s_max2 below 1, raise ValueError.
     """
-    grid = np.asarray(energies, dtype=float).tolist()
-    e0 = grid[0]
-    m = len(grid)
-    # Fields by position (eps1_i, eps1_f, eps2_i, eps2_f, n, n_prime, s, r,
-    # s_prime, r_prime): keywords cost a quarter of the build.
-    channels: list[CollisionChannel] = []
-    for e in grid:
-        channels += [CollisionChannel(e, e, e0, e0, 1, 0, s, s, 0, 0)
-                     for s in range(1, s_max1)]
-        channels += [CollisionChannel(e0, e0, e, e, 0, 1, 0, 0, s, s)
-                     for s in range(1, s_max2)]
+    grid = np.asarray(energies, dtype=float)
+    if grid.size == 0:
+        raise ValueError("the energy grid is empty; channels need at least one bin")
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError("channel energies must be a finite 1-d grid")
+    s_max1, s_max2 = int(s_max1), int(s_max2)
+    if min(s_max1, s_max2) < 1:
+        raise ValueError("s_max must be at least 1")
+    m = grid.size
 
-    def cross(i1: int, f1: int, i2: int, f2: int) -> CollisionChannel:
-        return CollisionChannel(
-            eps1_i=grid[i1], eps1_f=grid[f1], eps2_i=grid[i2], eps2_f=grid[f2],
-            n=1, n_prime=1, s=1, r=0, s_prime=1, r_prime=0,
-        )
+    # within-bin channels: each bin's block of orders, species 1 then
+    # species 2; the other species is a spectator of order 0 at bin 0
+    order = np.concatenate([np.arange(1, s_max1), np.arange(1, s_max2)])
+    first = np.arange(order.size) < s_max1 - 1
+    s1 = order * first
+    on_bin = np.array([first, first, ~first, ~first])
+    within = ((on_bin[:, None, :] * np.arange(m)[:, None]).reshape(4, -1),
+              np.repeat(np.array([first, ~first, s1, s1, order - s1, order - s1])[:, None, :],
+                        m, axis=1).reshape(6, -1))
 
-    h = 1
-    while h < m:
-        channels += [cross(j + h, j, j, j + h) for j in range(m - h)]
-        channels += [cross(j + h, j, j + h, j + 2 * h) for j in range(m - 2 * h)]
-        h *= 2
-    return channels
+    # inter-bin channels: for each h, m - h same windows j, then m - 2h
+    # adjacent ones; species 1 goes j + h -> j, species 2 goes i2 -> i2 + h
+    # with i2 = j (same window) or j + h (adjacent)
+    h = 1 << np.arange((m - 1).bit_length())
+    runs = np.array([m - h, np.maximum(m - 2 * h, 0)]).T.ravel()
+    step = np.repeat(np.repeat(h, 2), runs)
+    j = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    i2 = j + np.repeat(np.tile([0, 1], h.size), runs) * step
+    cross = (np.array([j + step, j, i2, i2 + step]),
+             np.repeat(np.array([[1], [1], [1], [0], [1], [0]]), j.size, axis=1))
+
+    bins, counts = (np.concatenate(parts, axis=1) for parts in zip(within, cross))
+    return ChannelColumns(*grid[bins], *counts)
 
 
 def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
-                      channels: Sequence[CollisionChannel]) -> np.ndarray:
+                      channels: Channels) -> np.ndarray:
     """Forward product minus reverse product of every channel, in order;
     each is zero at detailed balance.
 
-    The channels are checked first, in list order, and the first one that
-    does not fit the populations raises: :class:`OffGrid` if it violates
-    energy conservation by more than half a bin width or names an energy
-    off its population's grid (NaN and infinities included),
+    channels is a ``ChannelColumns`` (what ``standard_channels`` returns)
+    or a sequence of ``CollisionChannel``; both are packed and checked by
+    one path.  The channels are checked first, in row order, and the first
+    one that does not fit the populations raises: :class:`OffGrid` if it
+    violates energy conservation by more than half a bin width or names an
+    energy off its population's grid (NaN and infinities included),
     :class:`OrderOverflow` if a losing slot would drop below order 0 or a
     gaining slot would exceed s_max.
     """
@@ -312,10 +398,15 @@ def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
 
 
 def balance_residual(pop1: CondensatePopulation, pop2: CondensatePopulation,
-                     ch: CollisionChannel) -> float:
-    """Forward product minus reverse product for one channel; zero at
-    detailed balance.  Raises as ``balance_residuals`` does."""
-    return float(balance_residuals(pop1, pop2, [ch])[0])
+                     ch: CollisionChannel | ChannelColumns) -> float:
+    """Forward product minus reverse product for one channel, a
+    ``CollisionChannel`` or a one-row ``ChannelColumns``; zero at detailed
+    balance.  Raises as ``balance_residuals`` does, and ValueError for a
+    ``ChannelColumns`` of other than one row."""
+    rows = ch if isinstance(ch, ChannelColumns) else [ch]
+    if len(rows) != 1:
+        raise ValueError(f"balance_residual takes one channel, got {len(rows)}")
+    return float(balance_residuals(pop1, pop2, rows)[0])
 
 
 class QuantaCount(NamedTuple):
@@ -367,7 +458,7 @@ def stirling_entropy(pop: CondensatePopulation, k: float = 1.0) -> float:
 
 
 def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
-             channels: Sequence[CollisionChannel], rng: np.random.Generator
+             channels: Channels, rng: np.random.Generator
              ) -> tuple[CondensatePopulation, CondensatePopulation]:
     """Randomly disturb two populations using only admissible channel moves.
 
@@ -376,7 +467,9 @@ def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
     half, of the smallest slot it draws from, so per-bin packet totals,
     per-species quantum numbers, and the combined energy are all
     conserved exactly; relaxation from the scrambled state must return to
-    the same stationary form.
+    the same stationary form.  channels is a ``ChannelColumns`` or a
+    sequence of ``CollisionChannel``, checked as ``balance_residuals``
+    checks them; the moves follow its row order.
     """
     rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
     # Python floats on nested lists: the same IEEE operations, in the same
@@ -420,32 +513,29 @@ class _ChannelArrays(NamedTuple):
         return _ChannelArrays(*(col[idx] for col in self))
 
 
-def _pack_channels(pop1, pop2, channels: Sequence[CollisionChannel]) -> _ChannelArrays:
+def _pack_channels(pop1, pop2, channels: Channels) -> _ChannelArrays:
     """Bin indices and orders of every channel, after checking them all.
 
-    The first channel in list order that fails a check raises; within a
-    channel the checks run as energy conservation, grid membership of
-    eps1_i, eps1_f, eps2_i, eps2_f, order underflow, order overflow.
+    A sequence of ``CollisionChannel`` is read into columns first, so both
+    forms pass the same checks.  The first channel in row order that fails
+    a check raises; within a channel the checks run as energy conservation,
+    grid membership of eps1_i, eps1_f, eps2_i, eps2_f, order underflow,
+    order overflow.
     """
-    fields = operator.attrgetter("eps1_i", "eps1_f", "eps2_i", "eps2_f",
-                                 "s", "r", "s_prime", "r_prime", "n", "n_prime")
-    cols = np.fromiter(itertools.chain.from_iterable(map(fields, channels)),
-                       dtype=float, count=10 * len(channels))
-    cols = cols.reshape(len(channels), 10).T
-    s, r, sp, rp, n, npr = cols[4:].astype(np.intp)
-    j1, on_grid1 = pop1._bin_indices(cols[0:2])
-    j2, on_grid2 = pop2._bin_indices(cols[2:4])
+    c = _columns(channels)
+    energies = np.array([c.eps1_i, c.eps1_f, c.eps2_i, c.eps2_f])
+    j1, on_grid1 = pop1._bin_indices(energies[:2])
+    j2, on_grid2 = pop2._bin_indices(energies[2:])
     on_grid = np.concatenate([on_grid1, on_grid2])   # rows eps1_i .. eps2_f
 
     # ch.energy_defect() per channel; NaN from non-finite energies is left
     # for the grid test to report
-    e1i, e1f, e2i, e2f = cols[:4]
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = cols[8] * (e1i - e1f) - cols[9] * (e2f - e2i)
+        defect = c.n * (c.eps1_i - c.eps1_f) - c.n_prime * (c.eps2_f - c.eps2_i)
     unbalanced = np.abs(defect) > 0.5 * pop1.d_eps
     off_grid = ~on_grid.all(axis=0)
-    underflow = (s - n < 0) | (sp - npr < 0)
-    overflow = (r + n > pop1.s_max) | (rp + npr > pop2.s_max)
+    underflow = (c.s - c.n < 0) | (c.s_prime - c.n_prime < 0)
+    overflow = (c.r + c.n > pop1.s_max) | (c.r_prime + c.n_prime > pop2.s_max)
     bad = unbalanced | off_grid | underflow | overflow
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -455,12 +545,12 @@ def _pack_channels(pop1, pop2, channels: Sequence[CollisionChannel]) -> _Channel
                 f"(> half a bin width)"
             )
         if off_grid[k]:
-            eps = fields(channels[k])[int(np.argmin(on_grid[:, k]))]
+            eps = float(energies[int(np.argmin(on_grid[:, k])), k])
             raise OffGrid(f"energy {eps} is not on the population grid")
         if underflow[k]:
             raise OrderOverflow("losing slot would drop below order 0")
         raise OrderOverflow("gaining slot would exceed s_max")
-    return _ChannelArrays(*j1, *j2, s, r, sp, rp, n, npr)
+    return _ChannelArrays(*j1, *j2, c.s, c.r, c.s_prime, c.r_prime, c.n, c.n_prime)
 
 
 def _products(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays):
@@ -638,7 +728,7 @@ class RelaxResult(NamedTuple):
 
 
 def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
-          channels: Sequence[CollisionChannel], steps: int, seed: int = 0,
+          channels: Channels, steps: int, seed: int = 0,
           tol: float = 1e-10) -> RelaxResult:
     """Drive both populations to detailed balance along the channels.
 
@@ -660,6 +750,11 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     :class:`NonConvergence` carrying the partial result in its ``result``
     attribute.  The seed only shuffles channel processing order; the
     fixed point is seed-independent.
+
+    channels is a ``ChannelColumns`` (what ``standard_channels`` returns)
+    or a sequence of ``CollisionChannel``; both are packed and checked as
+    ``balance_residuals`` does, and the same channels in the same order
+    give bit-identical results in either form.
     """
     if steps < 1:
         raise ValueError("relax needs at least one sweep")

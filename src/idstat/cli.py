@@ -163,11 +163,10 @@ def _cmd_evolve(args, cfg: Config, out) -> int:
     grid = wavepacket.Grid(args.xmin, args.xmax, args.points)
     times = np.linspace(args.t_start, args.t_stop, args.t_samples)
     xs = grid.points()
-    # At a huge |t - t0| or x the intermediates pass the float range and
-    # psi is inf or nan, which is refused; a far row whose amplitude
-    # underflows to an exact zero is kept.
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    # At a huge |t - t0| the width passes the float range and psi is not
+    # finite, which is refused; a far row whose amplitude underflows to an
+    # exact zero is kept.
+    psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
     if not np.isfinite(psi).all():
         raise ValueError("psi passes the float range on this grid and time range")
     columns = [np.repeat(times, xs.size), np.tile(xs, times.size),

@@ -143,19 +143,32 @@ def center(p: WavePacket, t: float):
 
 
 def evaluate(p: WavePacket, x, t: float) -> np.ndarray | complex:
-    """Complex amplitude psi(x, t); accepts scalar or array x."""
+    """Complex amplitude psi(x, t); accepts scalar or array x.
+
+    It raises no overflow or invalid-value warning.  Far from the centre
+    the Gaussian factor underflows to exactly 0 while the phase a*xi^2/w2
+    may pass the float range; psi is then +0, the amplitude to double
+    precision.  Where the width itself passes the float range (a huge
+    |t - t0|), psi is not finite, and callers that need a value check
+    ``np.isfinite``.
+    """
     x = np.asarray(x, dtype=float)
-    a = spreading_factor(p, t)
-    w2 = p.sigma**2 * (1.0 + a * a)  # squared width scale at time t
-    xi = x - center(p, t)
-    modulus = (2.0 / (np.pi * w2)) ** 0.25 * np.exp(-(xi * xi) / w2)
-    phase = (
-        a * xi * xi / w2
-        - 0.5 * np.arctan(a)
-        + p.k0 * (x - p.x0)
-        - p.hbar * p.k0**2 * (t - p.t0) / (2.0 * p.m0)
-    )
-    out = modulus * np.exp(1j * phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = spreading_factor(p, t)
+        w2 = p.sigma**2 * (1.0 + a * a)  # squared width scale at time t
+        xi = x - center(p, t)
+        gauss = np.exp(-(xi * xi) / w2)
+        modulus = (2.0 / (np.pi * w2)) ** 0.25 * gauss
+        phase = (
+            a * xi * xi / w2
+            - 0.5 * np.arctan(a)
+            + p.k0 * (x - p.x0)
+            - p.hbar * p.k0**2 * (t - p.t0) / (2.0 * p.m0)
+        )
+        out = modulus * np.exp(1j * phase)
+    # 0 * exp(i * inf) is nan where the phase overflowed; one sum finds it
+    if math.isfinite(w2) and cmath.isnan(out.sum()):
+        out = np.where(np.isnan(out) & (gauss == 0), 0, out)
     return complex(out) if out.ndim == 0 else out
 
 

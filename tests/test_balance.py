@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -21,6 +22,7 @@ BINS = 8
 ENERGIES = np.arange(1.0, BINS + 1.0)
 G0 = 6.0
 SMAX = 40
+CHANNEL_FIELDS = [f.name for f in dataclasses.fields(bal.CollisionChannel)]
 
 
 def g_const(eps):
@@ -78,7 +80,8 @@ def test_balance_residual_zero_at_stationary():
     channels = bal.standard_channels(ENERGIES, SMAX, SMAX)
     residuals = bal.balance_residuals(pop1, pop2, channels)
     assert np.max(np.abs(residuals)) < 1e-12
-    assert residuals.tolist() == [reference_residual(pop1, pop2, ch) for ch in channels]
+    assert residuals.tolist() == [reference_residual(pop1, pop2, ch) for ch in
+                                  reference_standard_channels(ENERGIES, SMAX, SMAX)]
 
 
 def test_balance_residual_identity_channel():
@@ -168,7 +171,7 @@ def reference_error(call):
 
 def test_channel_errors():
     pop1, pop2 = stationary_pair()
-    good = bal.standard_channels(ENERGIES, SMAX, SMAX)[::97]
+    good = reference_standard_channels(ENERGIES, SMAX, SMAX)[::97]
     for error, fields in BAD_CHANNELS:
         bad = channel(**fields)
         want = reference_error(lambda: reference_channel_indices(pop1, pop2, bad))
@@ -198,13 +201,15 @@ def test_pack_channels_matches_reference_loop():
         energies = np.arange(1.0, bins + 1.0)
         pop1, pop2 = (bal.stationary_population(g_const, 1.0, 0.0, energies, 1.0,
                                                 s_max=s_max, kind=kind) for kind in (1, 2))
-        channels = bal.standard_channels(energies, s_max, s_max)
-        ca = bal._pack_channels(pop1, pop2, channels)
+        channels = reference_standard_channels(energies, s_max, s_max)
         want = [reference_channel_indices(pop1, pop2, ch)
                 + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime)
                 for ch in channels]
-        assert all(col.dtype == np.intp for col in ca)
-        assert list(zip(*(col.tolist() for col in ca))) == want
+        # the column record and the list it equals pack alike
+        for form in (bal.standard_channels(energies, s_max, s_max), channels):
+            ca = bal._pack_channels(pop1, pop2, form)
+            assert all(col.dtype == np.intp for col in ca)
+            assert list(zip(*(col.tolist() for col in ca))) == want
 
 
 def test_total_quanta_edge_cases():
@@ -685,12 +690,18 @@ def reference_conflict_free_batches(ca):
 @pytest.mark.parametrize("bins", [1, 2, 3, 8, 32])
 @pytest.mark.parametrize("s_max", [1, 2, 16, 64])
 def test_standard_channels_match_reference_loop(bins, s_max):
+    # every column is its field of the reference list, bit for bit
     energies = np.arange(1.0, bins + 1.0)
     got = bal.standard_channels(energies, s_max, s_max)
     want = reference_standard_channels(energies, s_max, s_max)
-    assert got == want
-    assert [tuple(map(type, vars(ch).values())) for ch in got] == \
-        [tuple(map(type, vars(ch).values())) for ch in want]
+    assert isinstance(got, bal.ChannelColumns)
+    assert len(got) == len(want)
+    for name in CHANNEL_FIELDS:
+        col = getattr(got, name)
+        ref = np.array([getattr(ch, name) for ch in want],
+                       dtype=float if name.startswith("eps") else np.intp)
+        assert col.dtype == ref.dtype and col.shape == (len(want),)
+        assert col.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("bins,s_max,seed", [(8, 16, 0), (8, 16, 7), (32, 64, 3), (1, 4, 0)])
@@ -701,7 +712,8 @@ def test_scramble_and_batches_match_reference_loops(bins, s_max, seed):
                                       s_max=s_max, kind=kind) for kind in (1, 2)]
     channels = bal.standard_channels(energies, s_max, s_max)
     got = bal.scramble(*pops, channels, np.random.default_rng(seed))
-    want = reference_scramble(*pops, channels, np.random.default_rng(seed))
+    want = reference_scramble(*pops, reference_standard_channels(energies, s_max, s_max),
+                              np.random.default_rng(seed))
     for pop, table in zip(got, want):
         assert pop.table.tobytes() == table.tobytes()
 
@@ -720,3 +732,94 @@ def test_scramble_and_batches_match_reference_loops(bins, s_max, seed):
         batches = bal._conflict_free_batches(sub)
         assert all(b.dtype == np.intp for b in batches)
         assert [b.tolist() for b in batches] == reference_conflict_free_batches(sub)
+
+
+def columns_of(channels):
+    """The ChannelColumns holding a list of CollisionChannel, field by field."""
+    return bal.ChannelColumns(*(np.array([getattr(ch, name) for ch in channels])
+                                for name in CHANNEL_FIELDS))
+
+
+@pytest.mark.parametrize("bins,s_max,steps,seed", [
+    (8, 16, 2000, 0), (8, 16, 2000, 7), (32, 64, 300, 3), (1, 4, 2000, 0)])
+def test_channel_consumers_take_columns_or_list(bins, s_max, steps, seed):
+    # the record and the reference list it equals give byte-identical results
+    energies = np.arange(1.0, bins + 1.0)
+    pops = [bal.stationary_population(lambda e: 6.0, 1.0, 0.0, energies, 1.0,
+                                      s_max=s_max, kind=kind) for kind in (1, 2)]
+    forms = (bal.standard_channels(energies, s_max, s_max),
+             reference_standard_channels(energies, s_max, s_max))
+    got, want = (bal.balance_residuals(*pops, form) for form in forms)
+    assert got.tobytes() == want.tobytes()
+    scrambled = [bal.scramble(*pops, form, np.random.default_rng(seed)) for form in forms]
+    for got, want in zip(*scrambled):
+        assert got.table.tobytes() == want.table.tobytes()
+    got, want = (bal.relax(*scrambled[0], form, steps=steps, seed=seed) for form in forms)
+    assert got.sweeps == want.sweeps
+    assert (got.max_residuals, got.entropies, got.quanta) == \
+        (want.max_residuals, want.entropies, want.quanta)
+    for new, ref in ((got.pop1, want.pop1), (got.pop2, want.pop2)):
+        assert new.table.tobytes() == ref.table.tobytes()
+
+
+def test_channel_columns_raise_as_the_list():
+    pop1, pop2 = stationary_pair()
+    good = reference_standard_channels(ENERGIES, SMAX, SMAX)[::97]
+    for _, fields in BAD_CHANNELS:
+        bad = channel(**fields)
+        want = reference_error(lambda: bal.balance_residual(pop1, pop2, bad))
+        assert reference_error(lambda: bal.balance_residual(pop1, pop2, columns_of([bad]))) == want
+        # one bad row among good ones
+        record = columns_of(good[:3] + [bad] + good[3:])
+        for call in (bal.balance_residuals, bal._pack_channels,
+                     lambda *pops: bal.scramble(*pops, np.random.default_rng(0)),
+                     lambda *pops: bal.relax(*pops, steps=1)):
+            assert reference_error(lambda: call(pop1, pop2, record)) == want
+    assert bal.balance_residual(pop1, pop2, columns_of(good[4:5])) == \
+        bal.balance_residual(pop1, pop2, good[4])
+    with pytest.raises(ValueError, match="takes one channel"):
+        bal.balance_residual(pop1, pop2, columns_of(good[4:6]))
+    with pytest.raises(ValueError, match="at least one channel"):
+        bal.relax(pop1, pop2, columns_of([]), steps=1)
+
+    # malformed columns are refused when built, negative counts and orders
+    # as CollisionChannel refuses them
+    for fields in (dict(n=-1), dict(n_prime=-2), dict(r=-1), dict(s_prime=-1)):
+        want = reference_error(lambda: channel(**fields))
+        row = {**vars(channel()), **fields}
+        assert reference_error(lambda: bal.ChannelColumns(
+            *(np.array([row[name]]) for name in CHANNEL_FIELDS))) == want
+    cols = [getattr(columns_of(good), name) for name in CHANNEL_FIELDS]
+    for broken in (cols[:9] + [cols[9][1:]], cols[:9] + [cols[9].reshape(1, -1)]):
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            bal.ChannelColumns(*broken)
+
+
+def test_standard_channels_build_no_collision_channel(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("a CollisionChannel was built")
+
+    monkeypatch.setattr(bal.CollisionChannel, "__post_init__", refuse)
+    with pytest.raises(RuntimeError):
+        channel()
+    assert len(bal.standard_channels(np.arange(1.0, 33.0), 64, 64)) == 4259
+
+
+@pytest.mark.parametrize("energies", [np.array([]), []])
+def test_standard_channels_refuse_an_empty_grid(energies):
+    with pytest.raises(ValueError, match="energy grid is empty"):
+        bal.standard_channels(energies, SMAX, SMAX)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_standard_channels_refuse_non_finite_energies(bad):
+    energies = ENERGIES.copy()
+    energies[3] = bad
+    with pytest.raises(ValueError, match="finite 1-d grid"):
+        bal.standard_channels(energies, SMAX, SMAX)
+
+
+@pytest.mark.parametrize("s_max1,s_max2", [(0, SMAX), (SMAX, 0), (-3, SMAX), (SMAX, -3)])
+def test_standard_channels_refuse_orders_below_one(s_max1, s_max2):
+    with pytest.raises(ValueError, match="s_max must be at least 1"):
+        bal.standard_channels(ENERGIES, s_max1, s_max2)

@@ -313,25 +313,30 @@ def test_evolve_non_finite_input_exits_2(capsys, argv, message):
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 def test_evolve_refuses_psi_past_the_float_range(capsys):
-    # finite inputs whose |t - t0| or x**2 pass the float range
-    for argv in (["--t-stop", "1e308", "--t-samples", "2"], ["--xmax", "1e300"]):
-        code, text = _run(["evolve", "--points", "16", *argv])
-        assert code == 2
-        assert text == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: psi passes the float range")
-        assert len(err.splitlines()) == 1
+    # finite inputs whose |t - t0| passes the float range: the width overflows
+    code, text = _run(["evolve", "--points", "16", "--t-stop", "1e308", "--t-samples", "2"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: psi passes the float range")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")
 def test_evolve_keeps_far_rows_that_underflow_to_zero():
-    # at t = t0 the far rows' amplitudes are exact zeros, not overflows
-    code, text = _run(["evolve", "--points", "16", "--xmax", "1e300", "--t-samples", "1"])
-    assert code == 0
-    rows = [tuple(map(float, line.split(","))) for line in text.splitlines()[1:]]
-    assert len(rows) == 16
-    assert rows[0][2] > 0.0
-    assert all(row[2:] == (0.0, 0.0, 0.0) for row in rows[1:])
+    # the far rows' amplitudes are exact +0, at t = t0 and also at t != t0,
+    # where their phase a*xi^2/w2 passes the float range
+    for samples in (1, 5):
+        code, text = _run(["evolve", "--points", "16", "--xmax", "1e300",
+                           "--t-samples", str(samples)])
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 16 * samples
+        assert float(rows[0][2]) > 0.0   # t = t0
+        for t in range(samples):
+            near, *far = rows[16 * t:16 * (t + 1)]
+            assert float(near[4]) > 0.0
+            assert all(row[2:] == ["0", "0", "0"] for row in far)
 
 
 @pytest.mark.parametrize("stat", ["bose", "fermi"])

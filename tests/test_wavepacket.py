@@ -252,3 +252,19 @@ def test_grid_requires_finite_bounds(x_min, x_max):
     # the last pair is finite, but its width overflows to inf
     with pytest.raises(ValueError, match="finite"):
         wp.Grid(x_min, x_max, 64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_far_tail_is_positive_zero():
+    # away from t0 the far phase a*xi^2/w2 passes the float range while the
+    # Gaussian factor underflows to 0; the amplitude there is +0, not nan
+    p = wp.WavePacket(m0=1.0, sigma=1.0, k0=0.4)
+    x = np.array([0.5, 1e200, -1e300, 1e308])
+    for t in (0.25, -3.0, 1e6):
+        psi = wp.evaluate(p, x, t)
+        assert psi[0] != 0
+        assert np.all(psi[1:] == 0)
+        assert not np.signbit(psi[1:].real).any() and not np.signbit(psi[1:].imag).any()
+        assert wp.evaluate(p, x[1], t) == 0
+    # a width past the float range still gives a non-finite amplitude
+    assert not np.isfinite(wp.evaluate(p, x, 1e308)).all()
