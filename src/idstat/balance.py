@@ -25,13 +25,12 @@ number, and (through channel energy conservation) the combined energy.
 ``equilibrium`` solves for the fixed point with those invariants
 directly.
 
-Channels come in two forms.  A ``CollisionChannel`` is one channel, the
-record for hand-built lists.  A ``ChannelColumns`` holds many channels as
-ten equal-length arrays named after ``CollisionChannel``'s fields;
-``standard_channels`` builds one with numpy.  ``relax``, ``scramble``,
-``balance_residuals`` and ``balance_residual`` take either form: a list is
-read into columns, and one packing step checks the columns and turns their
-energies into bin indices.
+A channel set is a ``ChannelColumns``: ten equal-length arrays named
+after ``CollisionChannel``'s fields, one row per channel.
+``standard_channels`` builds one with numpy; a hand-built set passes one
+sequence per field.  ``relax``, ``scramble`` and ``balance_residuals``
+take it, and one packing step checks the columns and turns their energies
+into bin indices.  ``balance_residual`` takes one ``CollisionChannel``.
 
 The H-function of the kinetics is the Stirling packet entropy
 S = k * sum_bins [g ln g - sum_s c ln c], c = p * d_eps
@@ -44,10 +43,8 @@ machine epsilon.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,12 +162,12 @@ class CondensatePopulation:
         on_grid &= np.abs(self.energies[j] - eps) <= 1e-9 * self.d_eps
         return j, on_grid
 
-    def check_totals(self, tol: float = TOTAL_DRIFT_TOL) -> None:
+    def check_totals(self) -> None:
         totals = self.table.sum(axis=0) * self.d_eps
         drift = np.max(np.abs(totals - self.g_p) / np.maximum(self.g_p, 1e-300))
-        if drift > tol:
+        if drift > TOTAL_DRIFT_TOL:
             raise InvariantViolation(
-                f"per-bin packet totals drifted by {drift:.3e} (> {tol:.0e})"
+                f"per-bin packet totals drifted by {drift:.3e} (> {TOTAL_DRIFT_TOL:.0e})"
             )
 
 
@@ -215,11 +212,12 @@ _COUNT_FIELDS = ("n", "n_prime", "s", "r", "s_prime", "r_prime")
 class ChannelColumns:
     """Many collision channels as columns: row k is one ``CollisionChannel``.
 
-    Each field is a 1-d array over the channels, named as the
-    ``CollisionChannel`` field it holds: the four energies as float64, the
-    transfer counts and orders as intp.  ``len()`` is the number of
-    channels.  Construction converts the columns and refuses arrays that
-    are not 1-d or not of one length, and negative counts or orders, as
+    This is the one channel-set form.  Each field is a 1-d array over the
+    channels, named as the ``CollisionChannel`` field it holds: the four
+    energies as float64, the transfer counts and orders as intp.  ``len()``
+    is the number of channels.  A hand-built set passes one sequence per
+    field.  Construction converts the columns and refuses arrays that are
+    not 1-d or not of one length, and negative counts or orders, as
     ``CollisionChannel`` does.
     """
 
@@ -249,22 +247,6 @@ class ChannelColumns:
 
     def __len__(self) -> int:
         return self.n.size
-
-
-# What the channel consumers accept: the column record, or a hand-built list.
-Channels = ChannelColumns | Sequence[CollisionChannel]
-
-
-def _columns(channels: Channels) -> ChannelColumns:
-    """channels as columns: a ``ChannelColumns`` as it is, a sequence of
-    ``CollisionChannel`` read field by field."""
-    if isinstance(channels, ChannelColumns):
-        return channels
-    fields = operator.attrgetter(*_ENERGY_FIELDS, *_COUNT_FIELDS)
-    cols = np.fromiter(itertools.chain.from_iterable(map(fields, channels)),
-                       dtype=float, count=10 * len(channels))
-    cols = cols.reshape(len(channels), 10).T
-    return ChannelColumns(*cols[:4], *cols[4:].astype(np.intp))
 
 
 def _ladder_moments(lx: np.ndarray, s_max: int):
@@ -381,16 +363,14 @@ def standard_channels(energies, s_max1: int, s_max2: int) -> ChannelColumns:
 
 
 def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
-                      channels: Channels) -> np.ndarray:
+                      channels: ChannelColumns) -> np.ndarray:
     """Forward product minus reverse product of every channel, in order;
     each is zero at detailed balance.
 
-    channels is a ``ChannelColumns`` (what ``standard_channels`` returns)
-    or a sequence of ``CollisionChannel``; both are packed and checked by
-    one path.  The channels are checked first, in row order, and the first
-    one that does not fit the populations raises: :class:`OffGrid` if it
-    violates energy conservation by more than half a bin width or names an
-    energy off its population's grid (NaN and infinities included),
+    The channels are checked first, in row order, and the first one that
+    does not fit the populations raises: :class:`OffGrid` if it violates
+    energy conservation by more than half a bin width or names an energy
+    off its population's grid (NaN and infinities included),
     :class:`OrderOverflow` if a losing slot would drop below order 0 or a
     gaining slot would exceed s_max.
     """
@@ -398,15 +378,11 @@ def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
 
 
 def balance_residual(pop1: CondensatePopulation, pop2: CondensatePopulation,
-                     ch: CollisionChannel | ChannelColumns) -> float:
-    """Forward product minus reverse product for one channel, a
-    ``CollisionChannel`` or a one-row ``ChannelColumns``; zero at detailed
-    balance.  Raises as ``balance_residuals`` does, and ValueError for a
-    ``ChannelColumns`` of other than one row."""
-    rows = ch if isinstance(ch, ChannelColumns) else [ch]
-    if len(rows) != 1:
-        raise ValueError(f"balance_residual takes one channel, got {len(rows)}")
-    return float(balance_residuals(pop1, pop2, rows)[0])
+                     ch: CollisionChannel) -> float:
+    """Forward product minus reverse product for one ``CollisionChannel``;
+    zero at detailed balance.  Raises as ``balance_residuals`` does."""
+    row = ChannelColumns(*([getattr(ch, name)] for name in _ENERGY_FIELDS + _COUNT_FIELDS))
+    return float(balance_residuals(pop1, pop2, row)[0])
 
 
 class QuantaCount(NamedTuple):
@@ -458,7 +434,7 @@ def stirling_entropy(pop: CondensatePopulation, k: float = 1.0) -> float:
 
 
 def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
-             channels: Channels, rng: np.random.Generator
+             channels: ChannelColumns, rng: np.random.Generator
              ) -> tuple[CondensatePopulation, CondensatePopulation]:
     """Randomly disturb two populations using only admissible channel moves.
 
@@ -467,9 +443,8 @@ def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
     half, of the smallest slot it draws from, so per-bin packet totals,
     per-species quantum numbers, and the combined energy are all
     conserved exactly; relaxation from the scrambled state must return to
-    the same stationary form.  channels is a ``ChannelColumns`` or a
-    sequence of ``CollisionChannel``, checked as ``balance_residuals``
-    checks them; the moves follow its row order.
+    the same stationary form.  The channels are checked as
+    ``balance_residuals`` checks them; the moves follow their row order.
     """
     rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
     # Python floats on nested lists: the same IEEE operations, in the same
@@ -513,16 +488,13 @@ class _ChannelArrays(NamedTuple):
         return _ChannelArrays(*(col[idx] for col in self))
 
 
-def _pack_channels(pop1, pop2, channels: Channels) -> _ChannelArrays:
+def _pack_channels(pop1, pop2, c: ChannelColumns) -> _ChannelArrays:
     """Bin indices and orders of every channel, after checking them all.
 
-    A sequence of ``CollisionChannel`` is read into columns first, so both
-    forms pass the same checks.  The first channel in row order that fails
-    a check raises; within a channel the checks run as energy conservation,
-    grid membership of eps1_i, eps1_f, eps2_i, eps2_f, order underflow,
-    order overflow.
+    The first channel in row order that fails a check raises; within a
+    channel the checks run as energy conservation, grid membership of
+    eps1_i, eps1_f, eps2_i, eps2_f, order underflow, order overflow.
     """
-    c = _columns(channels)
     energies = np.array([c.eps1_i, c.eps1_f, c.eps2_i, c.eps2_f])
     j1, on_grid1 = pop1._bin_indices(energies[:2])
     j2, on_grid2 = pop2._bin_indices(energies[2:])
@@ -728,7 +700,7 @@ class RelaxResult(NamedTuple):
 
 
 def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
-          channels: Channels, steps: int, seed: int = 0,
+          channels: ChannelColumns, steps: int, seed: int = 0,
           tol: float = 1e-10) -> RelaxResult:
     """Drive both populations to detailed balance along the channels.
 
@@ -736,12 +708,13 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     population from the forward to the reverse configuration of each
     channel by 0.9 of its per-channel Newton step on the imbalance
     (channels are processed in conflict-free batches so the moves compose
-    like sequential updates), and then equilibrates every bin's condensation ladder, which settles
-    all within-bin channels at once.  Both moves conserve per-bin packet
-    totals and each species' quantum number; channel energy conservation
-    then keeps the combined energy fixed, so any admissible start relaxes
-    to the unique geometric stationary form with those invariants (the
-    one ``equilibrium`` solves for).
+    like sequential updates), and then equilibrates every bin's
+    condensation ladder, which settles all within-bin channels at once.
+    Both moves conserve per-bin packet totals and each species' quantum
+    number; channel energy conservation then keeps the combined energy
+    fixed, so any admissible start relaxes to the unique geometric
+    stationary form with those invariants (the one ``equilibrium`` solves
+    for).
 
     The per-sweep maximum |imbalance| over all supplied channels is
     recorded together with the Stirling packet entropy (the H-function,
@@ -749,12 +722,8 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     once the residual falls below tol, and exceeding ``steps`` raises
     :class:`NonConvergence` carrying the partial result in its ``result``
     attribute.  The seed only shuffles channel processing order; the
-    fixed point is seed-independent.
-
-    channels is a ``ChannelColumns`` (what ``standard_channels`` returns)
-    or a sequence of ``CollisionChannel``; both are packed and checked as
-    ``balance_residuals`` does, and the same channels in the same order
-    give bit-identical results in either form.
+    fixed point is seed-independent.  The channels are checked as
+    ``balance_residuals`` checks them.
     """
     if steps < 1:
         raise ValueError("relax needs at least one sweep")

@@ -77,6 +77,15 @@ class GasSpec:
         for name in ("volume", "temperature", "mass", "c", "h", "k"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        # dispersion squares mass*c**2 and mode_count divides by h**3; a
+        # float ** raises OverflowError where * gives inf.  A rest energy
+        # that underflows to 0 is the massless limit and stays allowed.
+        rest = self.mass * (self.c * self.c)
+        if not math.isfinite(rest * rest):
+            raise ValueError(f"mass*c**2 and its square must be finite, "
+                             f"got mass = {self.mass}, c = {self.c}")
+        if not 0 < self.h * self.h * self.h < math.inf:
+            raise ValueError(f"h**3 must be positive and finite, got h = {self.h}")
 
     @property
     def kT(self) -> float:

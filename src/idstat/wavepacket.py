@@ -100,6 +100,15 @@ class WavePacket:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        # The formulas divide by sigma**2 and m0*sigma**2 and take
+        # hbar*k0**2; a float ** raises OverflowError where * gives inf.
+        s2 = self.sigma * self.sigma
+        if not (0 < s2 < math.inf and 0 < self.m0 * s2 < math.inf):
+            raise ValueError(f"sigma**2 and m0*sigma**2 must be positive and finite, "
+                             f"got sigma = {self.sigma}, m0 = {self.m0}")
+        if not math.isfinite(self.hbar * (self.k0 * self.k0)):
+            raise ValueError(f"hbar*k0**2 must be finite, got k0 = {self.k0}, "
+                             f"hbar = {self.hbar}")
 
 
 @dataclass(frozen=True)

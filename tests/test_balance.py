@@ -177,13 +177,14 @@ def test_channel_errors():
         want = reference_error(lambda: reference_channel_indices(pop1, pop2, bad))
         assert want[0] is error
         assert reference_error(lambda: bal.balance_residual(pop1, pop2, bad)) == want
-    # in a mixed list the first bad channel in list order raises
+    # in a mixed set the first bad channel in row order raises
     for (_, first), (_, second) in itertools.permutations(BAD_CHANNELS, 2):
         mixed = good[:3] + [channel(**first)] + good[3:5] + [channel(**second)] + good[5:]
         want = reference_error(lambda: [reference_channel_indices(pop1, pop2, ch)
                                         for ch in mixed])
-        assert reference_error(lambda: bal.balance_residuals(pop1, pop2, mixed)) == want
-        assert reference_error(lambda: bal._pack_channels(pop1, pop2, mixed)) == want
+        record = columns_of(mixed)
+        assert reference_error(lambda: bal.balance_residuals(pop1, pop2, record)) == want
+        assert reference_error(lambda: bal._pack_channels(pop1, pop2, record)) == want
 
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
@@ -205,8 +206,8 @@ def test_pack_channels_matches_reference_loop():
         want = [reference_channel_indices(pop1, pop2, ch)
                 + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime)
                 for ch in channels]
-        # the column record and the list it equals pack alike
-        for form in (bal.standard_channels(energies, s_max, s_max), channels):
+        # standard_channels and the reference list's columns pack alike
+        for form in (bal.standard_channels(energies, s_max, s_max), columns_of(channels)):
             ca = bal._pack_channels(pop1, pop2, form)
             assert all(col.dtype == np.intp for col in ca)
             assert list(zip(*(col.tolist() for col in ca))) == want
@@ -743,12 +744,13 @@ def columns_of(channels):
 @pytest.mark.parametrize("bins,s_max,steps,seed", [
     (8, 16, 2000, 0), (8, 16, 2000, 7), (32, 64, 300, 3), (1, 4, 2000, 0)])
 def test_channel_consumers_take_columns_or_list(bins, s_max, steps, seed):
-    # the record and the reference list it equals give byte-identical results
+    # standard_channels and the columns of the reference list give
+    # byte-identical results
     energies = np.arange(1.0, bins + 1.0)
     pops = [bal.stationary_population(lambda e: 6.0, 1.0, 0.0, energies, 1.0,
                                       s_max=s_max, kind=kind) for kind in (1, 2)]
     forms = (bal.standard_channels(energies, s_max, s_max),
-             reference_standard_channels(energies, s_max, s_max))
+             columns_of(reference_standard_channels(energies, s_max, s_max)))
     got, want = (bal.balance_residuals(*pops, form) for form in forms)
     assert got.tobytes() == want.tobytes()
     scrambled = [bal.scramble(*pops, form, np.random.default_rng(seed)) for form in forms]
@@ -768,17 +770,12 @@ def test_channel_columns_raise_as_the_list():
     for _, fields in BAD_CHANNELS:
         bad = channel(**fields)
         want = reference_error(lambda: bal.balance_residual(pop1, pop2, bad))
-        assert reference_error(lambda: bal.balance_residual(pop1, pop2, columns_of([bad]))) == want
         # one bad row among good ones
         record = columns_of(good[:3] + [bad] + good[3:])
         for call in (bal.balance_residuals, bal._pack_channels,
                      lambda *pops: bal.scramble(*pops, np.random.default_rng(0)),
                      lambda *pops: bal.relax(*pops, steps=1)):
             assert reference_error(lambda: call(pop1, pop2, record)) == want
-    assert bal.balance_residual(pop1, pop2, columns_of(good[4:5])) == \
-        bal.balance_residual(pop1, pop2, good[4])
-    with pytest.raises(ValueError, match="takes one channel"):
-        bal.balance_residual(pop1, pop2, columns_of(good[4:6]))
     with pytest.raises(ValueError, match="at least one channel"):
         bal.relax(pop1, pop2, columns_of([]), steps=1)
 

@@ -164,12 +164,28 @@ def test_exchange_phase_non_finite_input_exits_2(capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--T", "nan"), ("--T", "inf"), ("--N", "nan"), ("--V", "inf"), ("--mass", "nan")])
+    ("--T", "nan"), ("--T", "inf"), ("--N", "nan"), ("--V", "inf"), ("--mass", "nan"),
+    ("--mass", "1e160")])  # finite, but (mass * c**2) ** 2 passes the float range
 def test_distribute_non_finite_input_exits_2(capsys, flag, value):
     code, text = _run(_distribute_argv("bose", 300.0) + [flag, value])
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("c_light", 1e160, "mass*c**2 and its square must be finite"),
+    ("h_planck", 1e110, "h**3 must be positive and finite")])
+def test_distribute_constants_past_the_float_range_exit_2(tmp_path, capsys, key, value,
+                                                          message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    code, text = _run(["--config", str(config), *_distribute_argv("bose", 300.0)])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {message}")
+    assert len(err.splitlines()) == 1
 
 
 def _subprocess_run(argv):
@@ -300,7 +316,11 @@ def test_evolve_without_time_samples_exits_2(capsys, samples):
     (["--t-stop", "inf"], "--t-start and --t-stop must be finite"),
     (["--t-start=-1e308", "--t-stop", "1e308"], "--t-start and --t-stop must be finite"),
     (["--xmin=-inf"], "Grid requires finite x_min and x_max"),
-    (["--xmax", "nan"], "Grid requires finite x_min and x_max")])
+    (["--xmax", "nan"], "Grid requires finite x_min and x_max"),
+    # finite, but sigma**2 or k0**2 leaves the float range
+    (["--t-samples", "1", "--sigma", "1e200"], "sigma**2 and m0*sigma**2 must be positive"),
+    (["--sigma", "1e-200"], "sigma**2 and m0*sigma**2 must be positive"),
+    (["--t-samples", "1", "--k0", "1e160"], "hbar*k0**2 must be finite")])
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 def test_evolve_non_finite_input_exits_2(capsys, argv, message):
     code, text = _run(["evolve", "--points", "16", *argv])
