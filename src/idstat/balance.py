@@ -29,8 +29,10 @@ A channel set is a ``ChannelColumns``: ten equal-length arrays named
 after ``CollisionChannel``'s fields, one row per channel.
 ``standard_channels`` builds one with numpy; a hand-built set passes one
 sequence per field.  ``relax``, ``scramble`` and ``balance_residuals``
-take it, and one packing step checks the columns and turns their energies
-into bin indices.  ``balance_residual`` takes one ``CollisionChannel``.
+take it, and one packing step checks the columns and gives each channel
+its eight slots in the joint table, p and q flattened end to end: the
+forward and reverse slot of each of the four packets a move touches.
+``balance_residual`` takes one ``CollisionChannel``.
 
 The H-function of the kinetics is the Stirling packet entropy
 S = k * sum_bins [g ln g - sum_s c ln c], c = p * d_eps
@@ -374,7 +376,8 @@ def balance_residuals(pop1: CondensatePopulation, pop2: CondensatePopulation,
     :class:`OrderOverflow` if a losing slot would drop below order 0 or a
     gaining slot would exceed s_max.
     """
-    return _residuals(pop1.table, pop2.table, _pack_channels(pop1, pop2, channels))
+    slots, _ = _pack_channels(pop1, pop2, channels)
+    return _residuals(_joint_table(pop1, pop2), slots)
 
 
 def balance_residual(pop1: CondensatePopulation, pop2: CondensatePopulation,
@@ -446,50 +449,53 @@ def scramble(pop1: CondensatePopulation, pop2: CondensatePopulation,
     the same stationary form.  The channels are checked as
     ``balance_residuals`` checks them; the moves follow their row order.
     """
-    rows = list(zip(*(col.tolist() for col in _pack_channels(pop1, pop2, channels))))
-    # Python floats on nested lists: the same IEEE operations, in the same
+    slots, _ = _pack_channels(pop1, pop2, channels)
+    slot_rows = slots.tolist()
+    # Python floats on one flat list: the same IEEE operations, in the same
     # order, as numpy scalars, without their per-access cost.
-    p = pop1.table.tolist()
-    q = pop2.table.tolist()
+    pq = _joint_table(pop1, pop2).tolist()
     for _ in range(3):
-        for f, (j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr) in zip(
-                rng.uniform(-0.5, 0.5, size=len(rows)).tolist(), rows):
+        for f, (t1, g1, t2, g2, t3, g3, t4, g4) in zip(
+                rng.uniform(-0.5, 0.5, size=len(channels)).tolist(), zip(*slot_rows)):
             if f >= 0:
-                room = min(p[s][j1i], p[r][j1f], q[sp][j2i], q[rp][j2f])
+                room = min(pq[t1], pq[t2], pq[t3], pq[t4])
             else:
-                room = min(p[s - n][j1i], p[r + n][j1f],
-                           q[sp - npr][j2i], q[rp + npr][j2f])
+                room = min(pq[g1], pq[g2], pq[g3], pq[g4])
             move = f * room
-            p[s][j1i] -= move
-            p[s - n][j1i] += move
-            p[r][j1f] -= move
-            p[r + n][j1f] += move
-            q[sp][j2i] -= move
-            q[sp - npr][j2i] += move
-            q[rp][j2f] -= move
-            q[rp + npr][j2f] += move
-    return (replace(pop1, table=np.maximum(p, 0.0)),
-            replace(pop2, table=np.maximum(q, 0.0)))
+            pq[t1] -= move
+            pq[g1] += move
+            pq[t2] -= move
+            pq[g2] += move
+            pq[t3] -= move
+            pq[g3] += move
+            pq[t4] -= move
+            pq[g4] += move
+    p, q = _split(np.maximum(pq, 0.0), pop1, pop2)
+    return replace(pop1, table=p), replace(pop2, table=q)
 
 
-class _ChannelArrays(NamedTuple):
-    j1i: np.ndarray
-    j1f: np.ndarray
-    j2i: np.ndarray
-    j2f: np.ndarray
-    s: np.ndarray
-    r: np.ndarray
-    sp: np.ndarray
-    rp: np.ndarray
-    n: np.ndarray
-    npr: np.ndarray
-
-    def take(self, idx) -> "_ChannelArrays":
-        return _ChannelArrays(*(col[idx] for col in self))
+def _joint_table(pop1, pop2) -> np.ndarray:
+    """pop1.table and pop2.table flattened end to end: the table that
+    channel slots index."""
+    return np.concatenate([pop1.table.ravel(), pop2.table.ravel()])
 
 
-def _pack_channels(pop1, pop2, c: ChannelColumns) -> _ChannelArrays:
-    """Bin indices and orders of every channel, after checking them all.
+def _split(pq: np.ndarray, pop1, pop2) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a joint table shaped as pop1's and pop2's tables."""
+    k = pop1.table.size
+    return pq[:k].reshape(pop1.table.shape), pq[k:].reshape(pop2.table.shape)
+
+
+def _pack_channels(pop1, pop2, c: ChannelColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The joint-table slots of every channel, after checking them all,
+    and which channels are within-bin.
+
+    slots is an (8, channels) intp array of flat indices into
+    ``_joint_table(pop1, pop2)``, in (forward, reverse) row pairs:
+    (s, eps1_i)/(s - n, eps1_i), (r, eps1_f)/(r + n, eps1_f), then the same
+    for species 2 with s_prime, r_prime and n_prime.  A move takes from the
+    even rows and gives to the odd ones.  A channel is within-bin when each
+    species moves no quanta or keeps them in one bin.
 
     The first channel in row order that fails a check raises; within a
     channel the checks run as energy conservation, grid membership of
@@ -522,25 +528,27 @@ def _pack_channels(pop1, pop2, c: ChannelColumns) -> _ChannelArrays:
         if underflow[k]:
             raise OrderOverflow("losing slot would drop below order 0")
         raise OrderOverflow("gaining slot would exceed s_max")
-    return _ChannelArrays(*j1, *j2, c.s, c.r, c.s_prime, c.r_prime, c.n, c.n_prime)
+    orders = np.array([c.s, c.s - c.n, c.r, c.r + c.n, c.s_prime, c.s_prime - c.n_prime,
+                       c.r_prime, c.r_prime + c.n_prime])
+    bins = np.repeat(np.concatenate([j1, j2]), 2, axis=0)
+    width = np.repeat([pop1.n_bins, pop2.n_bins], 4)[:, None]
+    offset = np.repeat([0, pop1.table.size], 4)[:, None]
+    within = ((c.n == 0) | (j1[0] == j1[1])) & ((c.n_prime == 0) | (j2[0] == j2[1]))
+    return offset + orders * width + bins, within
 
 
-def _products(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays):
-    fwd = (p[ca.s, ca.j1i], p[ca.r, ca.j1f],
-           q[ca.sp, ca.j2i], q[ca.rp, ca.j2f])
-    rev = (p[ca.s - ca.n, ca.j1i], p[ca.r + ca.n, ca.j1f],
-           q[ca.sp - ca.npr, ca.j2i], q[ca.rp + ca.npr, ca.j2f])
-    forward = fwd[0] * fwd[1] * fwd[2] * fwd[3]
-    reverse = rev[0] * rev[1] * rev[2] * rev[3]
-    return forward, reverse, fwd, rev
+def _products(pq: np.ndarray, slots: np.ndarray):
+    values = pq[slots]
+    fwd, rev = values[0::2], values[1::2]
+    return fwd.prod(axis=0), rev.prod(axis=0), fwd, rev
 
 
-def _residuals(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays) -> np.ndarray:
-    forward, reverse, _, _ = _products(p, q, ca)
+def _residuals(pq: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    forward, reverse, _, _ = _products(pq, slots)
     return forward - reverse
 
 
-def _newton_steps(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays) -> np.ndarray:
+def _newton_steps(pq: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Per-channel move 0.9 * D / H, where H = -dD/d(move).
 
     H = F * sum(1/p_fwd) + R * sum(1/p_rev) is the sensitivity of the
@@ -549,50 +557,37 @@ def _newton_steps(p: np.ndarray, q: np.ndarray, ca: _ChannelArrays) -> np.ndarra
     step stops short of the full Newton step, no density can be driven
     negative.  Channels whose products both vanish contribute no move.
     """
-    forward, reverse, fwd, rev = _products(p, q, ca)
+    forward, reverse, fwd, rev = _products(pq, slots)
     d = forward - reverse
     tiny = 1e-300
-    h = forward * sum(1.0 / np.maximum(f, tiny) for f in fwd) + \
-        reverse * sum(1.0 / np.maximum(r, tiny) for r in rev)
+    h = forward * (1.0 / np.maximum(fwd, tiny)).sum(axis=0) + \
+        reverse * (1.0 / np.maximum(rev, tiny)).sum(axis=0)
     return _RELAX_RATE * d / np.maximum(h, tiny)
 
 
-def _is_within_bin(ca: _ChannelArrays) -> np.ndarray:
-    side1 = (ca.n == 0) | (ca.j1i == ca.j1f)
-    side2 = (ca.npr == 0) | (ca.j2i == ca.j2f)
-    return side1 & side2
-
-
-def _conflict_free_batches(ca: _ChannelArrays) -> list[np.ndarray]:
+def _conflict_free_batches(slots: np.ndarray) -> list[np.ndarray]:
     """Greedy grouping of channels so no two in a batch share a table slot.
 
     Each channel joins the lowest batch that none of its slots is in yet.
     Within a batch the accumulated update equals applying the channels one
     at a time, so the per-channel Newton step needs no extra damping.
     """
-    n_channels = len(ca.n)
+    n_channels = slots.shape[1]
     if n_channels == 0:
         return []
-    # Number every (species, order, bin) slot; a side that moves no quanta
-    # takes a slot of its own channel instead, which nothing else shares.
-    width = 1 + max(int(col.max()) for col in ca[:4])
-    height = 1 + max(int(col.max()) for col in (ca.s, ca.r + ca.n, ca.sp, ca.rp + ca.npr))
-    spare = 2 * width * height + np.arange(n_channels)
-    side1 = [np.where(ca.n > 0, order * width + j, spare)
-             for order, j in ((ca.s, ca.j1i), (ca.s - ca.n, ca.j1i),
-                              (ca.r, ca.j1f), (ca.r + ca.n, ca.j1f))]
-    side2 = [np.where(ca.npr > 0, (height + order) * width + j, spare)
-             for order, j in ((ca.sp, ca.j2i), (ca.sp - ca.npr, ca.j2i),
-                              (ca.rp, ca.j2f), (ca.rp + ca.npr, ca.j2f))]
+    # A side whose forward and reverse slots coincide moves no quanta; it
+    # takes a spare slot of its own channel instead, which nothing else shares.
+    spare = 1 + int(slots.max()) + np.arange(n_channels)
+    sides = [np.where(slots[k] != slots[k + 1], slots[k:k + 4], spare) for k in (0, 4)]
     # masks[k] has bit b set once batch b holds a channel using slot k
-    masks = [0] * (2 * width * height + n_channels)
+    masks = [0] * (int(spare[-1]) + 1)
     batches: list[list[int]] = []
-    for i, slots in enumerate(zip(*(col.tolist() for col in side1 + side2))):
+    for i, row in enumerate(zip(*np.concatenate(sides).tolist())):
         used = 0
-        for k in slots:
+        for k in row:
             used |= masks[k]
         free = ~used & (used + 1)        # lowest clear bit
-        for k in slots:
+        for k in row:
             masks[k] |= free
         b = free.bit_length() - 1
         if b == len(batches):
@@ -601,15 +596,13 @@ def _conflict_free_batches(ca: _ChannelArrays) -> list[np.ndarray]:
     return [np.asarray(b, dtype=np.intp) for b in batches]
 
 
-def _apply_moves(p, q, ca: _ChannelArrays, delta: np.ndarray) -> None:
-    np.add.at(p, (ca.s, ca.j1i), -delta)
-    np.add.at(p, (ca.s - ca.n, ca.j1i), delta)
-    np.add.at(p, (ca.r, ca.j1f), -delta)
-    np.add.at(p, (ca.r + ca.n, ca.j1f), delta)
-    np.add.at(q, (ca.sp, ca.j2i), -delta)
-    np.add.at(q, (ca.sp - ca.npr, ca.j2i), delta)
-    np.add.at(q, (ca.rp, ca.j2f), -delta)
-    np.add.at(q, (ca.rp + ca.npr, ca.j2f), delta)
+# A move takes from a channel's even slot rows and gives to its odd ones.
+_MOVE_SIGNS = np.array([-1.0, 1.0] * 4)
+
+
+def _apply_moves(pq: np.ndarray, slots: np.ndarray, delta: np.ndarray) -> None:
+    """Add every channel's signed move to its slots, slot row by slot row."""
+    np.add.at(pq, slots.ravel(), np.multiply.outer(_MOVE_SIGNS, delta).ravel())
 
 
 def _equilibrate_ladders(table: np.ndarray, lx: np.ndarray,
@@ -730,15 +723,14 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     if not channels:
         raise ValueError("relax needs at least one channel")
     rng = np.random.default_rng(seed)
-    ca_all = _pack_channels(pop1, pop2, channels)
+    slots, within = _pack_channels(pop1, pop2, channels)
     order = rng.permutation(len(channels))
-    ca_all = ca_all.take(order)
-    within = _is_within_bin(ca_all)
-    ca_inter = ca_all.take(np.flatnonzero(~within))
-    batches = [ca_inter.take(idx) for idx in _conflict_free_batches(ca_inter)]
+    slots, within = slots[:, order], within[order]
+    inter = slots[:, ~within]
+    batches = [inter[:, idx] for idx in _conflict_free_batches(inter)]
 
-    p = pop1.table.copy()
-    q = pop2.table.copy()
+    pq = _joint_table(pop1, pop2)
+    p, q = _split(pq, pop1, pop2)
     lx1 = _mean_order_lx(p)
     lx2 = _mean_order_lx(q)
 
@@ -748,16 +740,14 @@ def relax(pop1: CondensatePopulation, pop2: CondensatePopulation,
     new1, new2 = pop1, pop2
     sweeps = 0
     for sweep in range(1, steps + 1):
-        for ca_b in batches:
-            delta = _newton_steps(p, q, ca_b)
-            _apply_moves(p, q, ca_b, delta)
+        for batch in batches:
+            _apply_moves(pq, batch, _newton_steps(pq, batch))
         _equilibrate_ladders(p, lx1)
         _equilibrate_ladders(q, lx2)
-        np.maximum(p, 0.0, out=p)
-        np.maximum(q, 0.0, out=q)
+        np.maximum(pq, 0.0, out=pq)
 
         sweeps = sweep
-        residual = float(np.max(np.abs(_residuals(p, q, ca_all))))
+        residual = float(np.max(np.abs(_residuals(pq, slots))))
         max_residuals.append(residual)
         new1 = replace(pop1, table=p.copy(), g_p=pop1.g_p)
         new2 = replace(pop2, table=q.copy(), g_p=pop2.g_p)

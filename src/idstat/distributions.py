@@ -159,12 +159,22 @@ def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _finite_bins(name: str, values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"bin {name} pass the float range on this grid")
+    return values
+
+
 def grid_energies(spec: GasSpec, grid: MomentumGrid) -> np.ndarray:
-    return dispersion(grid.centers(), spec)
+    """Bin-center energies; ValueError where one passes the float range."""
+    with np.errstate(over="ignore"):
+        return _finite_bins("energies", dispersion(grid.centers(), spec))
 
 
 def grid_mode_counts(spec: GasSpec, grid: MomentumGrid) -> np.ndarray:
-    return mode_count(grid.centers(), grid.dp, spec)
+    """Bin mode counts; ValueError where one passes the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_bins("mode counts", mode_count(grid.centers(), grid.dp, spec))
 
 
 def _total_number(mu: float, eps: np.ndarray, g: np.ndarray, kT: float,

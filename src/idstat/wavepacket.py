@@ -181,11 +181,24 @@ def evaluate(p: WavePacket, x, t: float) -> np.ndarray | complex:
     return complex(out) if out.ndim == 0 else out
 
 
+def _refuse_wide(w2, t) -> None:
+    """ValueError where the squared width w2 = sigma^2*(1 + A^2) is not finite."""
+    if not np.all(np.isfinite(w2)):
+        raise ValueError(f"the packet's squared width sigma**2*(1 + A**2) passes "
+                         f"the float range at t = {t}")
+
+
 def density(p: WavePacket, x, t: float):
-    """|psi(x, t)|^2, a normalized Gaussian of the moving center."""
+    """|psi(x, t)|^2, a normalized Gaussian of the moving center.
+
+    A time at which the squared width sigma^2*(1 + A^2) passes the float
+    range raises ValueError.
+    """
     x = np.asarray(x, dtype=float)
-    a = spreading_factor(p, t)
-    w2 = p.sigma**2 * (1.0 + a * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = spreading_factor(p, t)
+        w2 = p.sigma**2 * (1.0 + a * a)
+    _refuse_wide(w2, t)
     xi = x - center(p, t)
     out = np.sqrt(2.0 / (np.pi * w2)) * np.exp(-2.0 * xi * xi / w2)
     return float(out) if out.ndim == 0 else out
@@ -198,6 +211,7 @@ def norm(p: WavePacket, t: float, g: Grid) -> float:
     relative size 2*exp(-pi^2*w^2/(2*dx^2)), w = sigma*sqrt(1 + A^2)
     (Poisson summation), plus the mass beyond the grid edges.  So it is 1
     to roundoff once dx < w/3 and both edge densities are below roundoff.
+    Raises ValueError as ``density`` does.
     """
     f = density(p, g.points(), t)
     return float(g.spacing * (f.sum() - 0.5 * (f[0] + f[-1])))
@@ -218,6 +232,7 @@ def _centered(p: WavePacket, t: float):
     grows with |x0|."""
     dt = float(t) - p.t0
     a = 2.0 * p.hbar * dt / (p.m0 * p.sigma**2)
+    _refuse_wide(p.sigma**2 * (1.0 + a * a), t)  # Python floats give inf, not a warning
     s = p.hbar * p.k0 / p.m0 * dt
     amp = (2.0 / (math.pi * p.sigma**2 * (1.0 + a * a))) ** 0.25
     return 1.0 / (p.sigma**2 * complex(1.0, a)), s, amp, 0.5 * (p.k0 * s - math.atan(a))
@@ -237,7 +252,8 @@ def overlap(p1: WavePacket, p2: WavePacket, t: float) -> complex:
     the value by 8e-14 relative.  Every term changes sign or conjugates
     exactly when the packets swap, so overlap(b, a) equals
     conj(overlap(a, b)) bitwise.  Packets far apart give 0 without an
-    underflow warning.
+    underflow warning.  A time at which either packet's squared width
+    passes the float range raises ValueError, as ``density`` does.
     """
     q1, s1, amp1, phi1 = _centered(p1, t)
     q2, s2, amp2, phi2 = _centered(p2, t)

@@ -152,6 +152,29 @@ def reference_channel_indices(pop1, pop2, ch):
     return j1i, j1f, j2i, j2f
 
 
+def reference_rows(pop1, pop2, channels):
+    """(j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr) of each channel."""
+    return [reference_channel_indices(pop1, pop2, ch)
+            + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime) for ch in channels]
+
+
+def reference_slots(pop1, pop2, rows):
+    """The (8, channels) joint-table slots of the rows, one channel at a
+    time: (order, bin) of species 1 at order * bins1 + bin, of species 2
+    after all of species 1's, in (forward, reverse) pairs."""
+    m1, m2, offset = pop1.n_bins, pop2.n_bins, pop1.table.size
+    slots = [[s * m1 + j1i, (s - n) * m1 + j1i, r * m1 + j1f, (r + n) * m1 + j1f,
+              offset + sp * m2 + j2i, offset + (sp - npr) * m2 + j2i,
+              offset + rp * m2 + j2f, offset + (rp + npr) * m2 + j2f]
+             for j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr in rows]
+    return np.array(slots, dtype=np.intp).reshape(-1, 8).T.copy()
+
+
+def reference_within_bin(row):
+    j1i, j1f, j2i, j2f, _, _, _, _, n, npr = row
+    return (n == 0 or j1i == j1f) and (npr == 0 or j2i == j2f)
+
+
 def reference_residual(pop1, pop2, ch):
     j1i, j1f, j2i, j2f = reference_channel_indices(pop1, pop2, ch)
     p, q = pop1.table, pop2.table
@@ -203,14 +226,14 @@ def test_pack_channels_matches_reference_loop():
         pop1, pop2 = (bal.stationary_population(g_const, 1.0, 0.0, energies, 1.0,
                                                 s_max=s_max, kind=kind) for kind in (1, 2))
         channels = reference_standard_channels(energies, s_max, s_max)
-        want = [reference_channel_indices(pop1, pop2, ch)
-                + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime)
-                for ch in channels]
+        rows = reference_rows(pop1, pop2, channels)
+        want = reference_slots(pop1, pop2, rows)
         # standard_channels and the reference list's columns pack alike
         for form in (bal.standard_channels(energies, s_max, s_max), columns_of(channels)):
-            ca = bal._pack_channels(pop1, pop2, form)
-            assert all(col.dtype == np.intp for col in ca)
-            assert list(zip(*(col.tolist() for col in ca))) == want
+            slots, within = bal._pack_channels(pop1, pop2, form)
+            assert slots.dtype == np.intp and slots.shape == (8, len(channels))
+            assert slots.tobytes() == want.tobytes()
+            assert within.tolist() == [reference_within_bin(row) for row in rows]
 
 
 def test_total_quanta_edge_cases():
@@ -638,8 +661,7 @@ def reference_standard_channels(energies, s_max1, s_max2):
 
 def reference_scramble(pop1, pop2, channels, rng):
     """Three rounds of one scalar draw and one numpy-scalar move per channel."""
-    rows = [reference_channel_indices(pop1, pop2, ch)
-            + (ch.s, ch.r, ch.s_prime, ch.r_prime, ch.n, ch.n_prime) for ch in channels]
+    rows = reference_rows(pop1, pop2, channels)
     p = pop1.table.copy()
     q = pop2.table.copy()
     for _ in range(3):
@@ -662,21 +684,15 @@ def reference_scramble(pop1, pop2, channels, rng):
     return np.maximum(p, 0.0), np.maximum(q, 0.0)
 
 
-def reference_conflict_free_batches(ca):
+def reference_conflict_free_batches(rows):
     """First-fit grouping by a scan over every batch's set of slots."""
     batches, batch_slots = [], []
-    for i in range(len(ca.n)):
+    for i, (j1i, j1f, j2i, j2f, s, r, sp, rp, n, npr) in enumerate(rows):
         slots = set()
-        if ca.n[i] > 0:
-            slots.update([(1, int(ca.s[i]), int(ca.j1i[i])),
-                          (1, int(ca.s[i] - ca.n[i]), int(ca.j1i[i])),
-                          (1, int(ca.r[i]), int(ca.j1f[i])),
-                          (1, int(ca.r[i] + ca.n[i]), int(ca.j1f[i]))])
-        if ca.npr[i] > 0:
-            slots.update([(2, int(ca.sp[i]), int(ca.j2i[i])),
-                          (2, int(ca.sp[i] - ca.npr[i]), int(ca.j2i[i])),
-                          (2, int(ca.rp[i]), int(ca.j2f[i])),
-                          (2, int(ca.rp[i] + ca.npr[i]), int(ca.j2f[i]))])
+        if n > 0:
+            slots.update([(1, s, j1i), (1, s - n, j1i), (1, r, j1f), (1, r + n, j1f)])
+        if npr > 0:
+            slots.update([(2, sp, j2i), (2, sp - npr, j2i), (2, rp, j2f), (2, rp + npr, j2f)])
         for b, used in zip(batches, batch_slots):
             if not (slots & used):
                 b.append(i)
@@ -719,20 +735,53 @@ def test_scramble_and_batches_match_reference_loops(bins, s_max, seed):
         assert pop.table.tobytes() == table.tobytes()
 
     # every channel, and the inter-bin channels in relax's order
-    ca = bal._pack_channels(*got, channels)
-    ca = ca.take(np.random.default_rng(seed).permutation(len(channels)))
-    # and random slots: losing orders up to s_max, gaining orders below 4,
+    order = np.random.default_rng(seed).permutation(len(channels))
+    slots, within = bal._pack_channels(*got, channels)
+    slots, within = slots[:, order], within[order]
+    rows = reference_rows(*got, reference_standard_channels(energies, s_max, s_max))
+    rows = [rows[k] for k in order]
+    inter = [row for row in rows if not reference_within_bin(row)]
+    assert slots.tobytes() == reference_slots(*got, rows).tobytes()
+    assert slots[:, ~within].tobytes() == reference_slots(*got, inter).tobytes()
+    # and random rows: losing orders up to s_max, gaining orders below 4,
     # transfers of 0, 1 or 2 quanta
     rng = np.random.default_rng(seed)
     n, npr = rng.integers(0, 3, size=(2, 300))
     s, sp = (k + rng.integers(0, s_max - 1, size=300) for k in (n, npr))
     r, rp = rng.integers(0, 2, size=(2, 300))
-    mixed = bal._ChannelArrays(*rng.integers(0, bins, size=(4, 300)),
-                               s, r, sp, rp, n, npr)
-    for sub in (ca, ca.take(np.flatnonzero(~bal._is_within_bin(ca))), mixed):
-        batches = bal._conflict_free_batches(sub)
+    mixed = list(zip(*rng.integers(0, bins, size=(4, 300)).tolist(),
+                     *(col.tolist() for col in (s, r, sp, rp, n, npr))))
+    for sub in (rows, inter, mixed):
+        batches = bal._conflict_free_batches(reference_slots(*got, sub))
         assert all(b.dtype == np.intp for b in batches)
         assert [b.tolist() for b in batches] == reference_conflict_free_batches(sub)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_moves_matches_reference_loop(seed):
+    # a small joint table, so that many channels share slots, and transfers
+    # of 0 quanta, whose forward and reverse slots coincide
+    rng = np.random.default_rng(seed)
+    pops = [bal.CondensatePopulation(kind, np.arange(1.0, 4.0), 1.0,
+                                     rng.random((s_max + 1, 3)))
+            for kind, s_max in ((1, 4), (2, 3))]
+    n, npr = rng.integers(0, 3, size=(2, 200))
+    s, r = n + rng.integers(0, 5 - n), rng.integers(0, 5 - n)          # s_max 4
+    sp, rp = npr + rng.integers(0, 4 - npr), rng.integers(0, 4 - npr)  # s_max 3
+    rows = list(zip(*rng.integers(0, 3, size=(4, 200)).tolist(),
+                    *(col.tolist() for col in (s, r, sp, rp, n, npr))))
+    slots = reference_slots(*pops, rows)
+    delta = rng.normal(size=200) * 10.0 ** rng.uniform(-6, 0, size=200)
+    pq = bal._joint_table(*pops)
+    want = pq.copy()
+    for row in range(8):   # slot row by slot row: take on even rows, give on odd
+        for k in range(200):
+            if row % 2 == 0:
+                want[slots[row, k]] -= delta[k]
+            else:
+                want[slots[row, k]] += delta[k]
+    bal._apply_moves(pq, slots, delta)
+    assert pq.tobytes() == want.tobytes()
 
 
 def columns_of(channels):

@@ -188,6 +188,37 @@ def test_distribute_constants_past_the_float_range_exit_2(tmp_path, capsys, key,
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("config,argv,message", [
+    ({}, ["--stat", "fermi", "--pmax", "1e200"], "bin energies pass the float range"),
+    ({}, ["--stat", "bose", "--pmax", "1e160", "--mass", "1e-10"],
+     "bin energies pass the float range"),
+    ({"c_light": 1e-10}, ["--stat", "bose", "--pmax", "1e160"],
+     "bin mode counts pass the float range")])
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_distribute_bins_past_the_float_range_exit_2(tmp_path, capsys, config, argv, message):
+    # finite inputs whose bin energies or mode counts overflow
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, text = _run(["--config", str(path), "distribute", "--T", "1", "--N", "1", *argv])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {message}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_selftest_packet_width_past_the_float_range_exits_2(tmp_path, capsys):
+    # at hbar = 1e300 the packets' squared width overflows at t = 0.7
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hbar": 1e300}))
+    code, _ = _run(["--config", str(config), "selftest"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: the packet's squared width")
+    assert len(err.splitlines()) == 1
+
+
 def _subprocess_run(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

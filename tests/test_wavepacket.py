@@ -132,6 +132,22 @@ def test_overlap_distant_packets_vanish():
         assert abs(wp.overlap(p1, p2, 0.0)) <= bound
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_width_past_the_float_range_is_refused():
+    # at t = 5, A = 1e301 and sigma**2*(1 + A**2) passes the float range,
+    # where alpha underflowed to 0 and density gave 0 everywhere
+    p = wp.WavePacket(m0=1.0, sigma=1.0, hbar=1e300)
+    moved = dataclasses.replace(p, x0=1.0)
+    for call in (lambda: wp.density(p, np.zeros(3), 5.0), lambda: wp.density(p, 0.0, 5.0),
+                 lambda: wp.norm(p, 5.0, wp.Grid(-12.0, 12.0, 64)),
+                 lambda: wp.overlap(p, moved, 5.0), lambda: wp.overlap(moved, p, 5.0)):
+        with pytest.raises(ValueError, match="squared width"):
+            call()
+    # at t = t0 the same packets are fine
+    assert wp.density(p, 0.0, 0.0) == wp.density(wp.WavePacket(m0=1.0, sigma=1.0), 0.0, 0.0)
+    assert abs(wp.overlap(p, moved, 0.0)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
 def test_overlap_conjugate_symmetry():
     p1 = wp.WavePacket(m0=1.0, sigma=1.0, x0=-0.7, k0=0.9)
     p2 = wp.WavePacket(m0=1.0, sigma=1.4, x0=0.6, k0=-0.4, t0=0.2)
