@@ -129,12 +129,14 @@ def mode_count(p, dp: float, spec: GasSpec):
 
 
 def _occupation(x, statistics: str):
-    """Mean occupation of one mode at x = (eps - mu)/kT."""
+    """Mean occupation of one mode at x = (eps - mu)/kT.
+
+    The bose expm1 overflows to inf past x ~ 709, where 1/inf = 0 is the
+    right occupation; callers silence that overflow warning, once around
+    a whole solve rather than per call.
+    """
     if statistics == "bose":
-        # expm1 overflows to inf past x ~ 709, where 1/inf = 0 is the
-        # right occupation; only the warning is silenced.
-        with np.errstate(over="ignore"):
-            return 1.0 / np.expm1(x)
+        return 1.0 / np.expm1(x)
     # e^-x / (1 + e^-x) past 0 and 1 / (1 + e^x) below it: one exp that
     # never overflows, and e^-x itself far out in the tail
     e = np.exp(-np.abs(x))
@@ -150,10 +152,10 @@ def occupancy(eps, mu: float, spec: GasSpec, g_p=None):
     eps = np.asarray(eps, dtype=float)
     if spec.statistics == "bose" and np.any(eps <= mu):
         raise BosePole(f"bose occupancy needs eps > mu, got eps <= {mu}")
-    # a subnormal kT sends x to inf, where the occupation 0 is right
+    # a subnormal kT sends x to inf, and the bose expm1 overflows past
+    # x ~ 709; the occupation 0 is right at both
     with np.errstate(over="ignore"):
-        x = (eps - mu) / spec.kT
-    out = _occupation(x, spec.statistics)
+        out = _occupation((eps - mu) / spec.kT, spec.statistics)
     if g_p is not None:
         out = out * np.asarray(g_p, dtype=float)
     return float(out) if out.ndim == 0 else out
@@ -179,9 +181,10 @@ def grid_mode_counts(spec: GasSpec, grid: MomentumGrid) -> np.ndarray:
 
 def _total_number(mu: float, eps: np.ndarray, g: np.ndarray, kT: float,
                   statistics: str) -> float:
-    """sum g n(x).  At a subnormal kT, x overflows to inf, where the
-    occupation 0 is right; callers silence the warning once, around every
-    count of a solve, rather than per count."""
+    """sum g n(x).  At a subnormal kT, x overflows to inf, and past
+    x ~ 709 the bose expm1 overflows; the occupation 0 is right at both.
+    Callers silence the warning once, around every count of a solve,
+    rather than per count."""
     return float(np.sum(g * _occupation((eps - mu) / kT, statistics)))
 
 
@@ -194,8 +197,9 @@ def saturation_count(spec: GasSpec, grid: MomentumGrid) -> float:
                              spec.kT, "bose")
 
 
-# x = (eps - mu)/kT overflows to inf at a subnormal kT, where the
-# occupation 0 is right: the warning is silenced once per solve.
+# x = (eps - mu)/kT overflows to inf at a subnormal kT, and the bose
+# expm1 past x ~ 709; the occupation 0 is right at both, so the warning
+# is silenced once per solve.
 @np.errstate(over="ignore")
 def solve_mu_on_levels(n_target: float, eps, g, kT: float,
                        statistics: str) -> float:
@@ -320,6 +324,9 @@ def _boltzmann_multipliers(eps: np.ndarray, g: np.ndarray, n_target: float,
     return a, b
 
 
+# The bose occupation's expm1 overflows past c ~ 709, where n = 0 is
+# right: the warning is silenced once per solve, as for solve_mu_on_levels.
+@np.errstate(over="ignore")
 def max_entropy_on_levels(eps, g, n_target: float, e_target: float,
                           statistics: str, k: float = 1.0,
                           max_iter: int = 200) -> MaxEntResult:

@@ -16,9 +16,12 @@ rows are mapped back to ids.  The projectors merge only the terms'
 orbits, their sorted rows, and expand each kept orbit into its
 n!/prod(m_k!) distinct arrangements (m_k the multiplicities of its
 modes) in lexicographic order, so their cost follows the output, not
-len(terms) * n!.  ``scalar_product`` meets in the middle of the slots
-instead of looping over term pairs, and sums each group of terms as one
-sparse product.
+len(terms) * n!.  The table of arrangements depends only on the run
+lengths m_k, so it is built once per multiplicity pattern and kept (the
+last 8 patterns, read-only); each projection gathers its ids from it
+into one output-sized buffer.  ``scalar_product`` meets in the middle of
+the slots instead of looping over term pairs, and sums each group of
+terms as one sparse product.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -36,6 +39,7 @@ a SpinorMode, an abstract orthonormal label).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import threading
@@ -139,9 +143,13 @@ class ModeRegistry:
         return len(self._modes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductTerm:
-    """coeff * (mode assigned to slot 0) x (mode assigned to slot 1) x ..."""
+    """coeff * (mode assigned to slot 0) x (mode assigned to slot 1) x ...
+
+    Slotted: a term holds its two fields and no instance dict, so the
+    n! terms of an expanded state stay small once ``state.terms`` is read.
+    """
 
     coeff: complex
     modes: tuple[int, ...]
@@ -383,6 +391,7 @@ def permute_parameters(s: NParticleState, perm: Sequence[int]) -> NParticleState
     return _state(s.n, s.modes[:, perm], s.coeffs)
 
 
+@functools.lru_cache(maxsize=8)
 def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
     """The distinct arrangements of a sorted row whose runs of equal ids
     have lengths ``counts`` (the classes), as an (M, n) uint8 table of
@@ -398,6 +407,12 @@ def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
     tuple is built once and only two levels are held at a time.  They are
     built one arrangement per column, where every copy is contiguous, and
     the last is transposed once.
+
+    The table depends only on ``counts``, not on the mode ids, so the last
+    8 count tuples' tables are kept and returned read-only.  Each holds at
+    most PROJECTOR_MAX_IDS one-byte entries, so the memo holds at most 8 x
+    PROJECTOR_MAX_IDS bytes (26 MB); the benchmark's exchange workload,
+    with five patterns of 6 to 8 slots, keeps about 0.4 MB.
     """
     levels = [[counts]]
     while True:
@@ -411,7 +426,9 @@ def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
     tables: dict = {}
     for level in reversed(levels):
         tables = {c: _prepend(c, tables) for c in level}
-    return np.ascontiguousarray(tables[counts].T)
+    table = np.ascontiguousarray(tables[counts].T)
+    table.flags.writeable = False
+    return table
 
 
 def _children(counts: tuple[int, ...]):
@@ -513,14 +530,20 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
         members = members[kept[members]]
         if not len(members):
             continue
-        # Slot j of arrangement r holds the orbit's id (rank) at the start
-        # of run table[r, j].
+        # Slot j of arrangement r of member i holds the id (rank) at the
+        # start of run table[r, j] of orbit i: the class indices, offset by
+        # i * len(runs) into the members' run heads, are gathered in place.
         table = _arrangements(runs)
-        mode_blocks.append(orbits[members][:, first_slots][:, table].reshape(-1, n))
+        index = np.empty((len(members),) + table.shape, dtype=np.intp)
+        index[...] = table
+        if len(members) > 1:
+            index += (np.arange(len(members)) * len(runs))[:, None, None]
+        if several:
+            rank_blocks.append(ranks[members][:, first_slots].take(index).reshape(-1, n))
+        np.take(orbits[members][:, first_slots], index, out=index, mode="clip")
+        mode_blocks.append(index.reshape(-1, n))
         coeff_blocks.append(signed_weights[members][:, _parities(n)].ravel() if signed
                             else np.repeat(signed_weights[members, 0], len(table)))
-        if several:
-            rank_blocks.append(ranks[members][:, first_slots][:, table].reshape(-1, n))
     if not mode_blocks:
         return zero_state(n)
     if not several:

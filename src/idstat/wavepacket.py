@@ -142,8 +142,12 @@ class Grid:
 
 
 def spreading_factor(p: WavePacket, t: float):
-    """A(t) = 2*hbar*(t - t0)/(m0*sigma^2); zero at t0, odd about it."""
-    return 2.0 * p.hbar * (np.asarray(t) - p.t0) / (p.m0 * p.sigma**2)
+    """A(t) = 2*hbar*(t - t0)/(m0*sigma^2); zero at t0, odd about it.
+
+    hbar*(t - t0) is formed before the exact doubling, so a huge hbar
+    still gives A = 0 at t0, not inf*0.
+    """
+    return 2.0 * (p.hbar * (np.asarray(t) - p.t0)) / (p.m0 * p.sigma**2)
 
 
 def center(p: WavePacket, t: float):
@@ -231,7 +235,7 @@ def _centered(p: WavePacket, t: float):
     """(q, s, amp, phi) of the module docstring as Python scalars; none
     grows with |x0|."""
     dt = float(t) - p.t0
-    a = 2.0 * p.hbar * dt / (p.m0 * p.sigma**2)
+    a = 2.0 * (p.hbar * dt) / (p.m0 * p.sigma**2)  # as spreading_factor
     _refuse_wide(p.sigma**2 * (1.0 + a * a), t)  # Python floats give inf, not a warning
     s = p.hbar * p.k0 / p.m0 * dt
     amp = (2.0 / (math.pi * p.sigma**2 * (1.0 + a * a))) ** 0.25

@@ -373,6 +373,20 @@ def test_evolve_refuses_psi_past_the_float_range(capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_evolve_at_huge_hbar_and_t0_exits_0(tmp_path, capsys):
+    # 2*hbar overflows at hbar = 1e308; at t = t0 the packet is still finite
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hbar": 1e308}))
+    code, text = _run(["--config", str(config), "evolve", "--t-samples", "1",
+                       "--points", "16"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = text.splitlines()[1:]
+    assert len(rows) == 16
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 @pytest.mark.filterwarnings("error")
 def test_evolve_keeps_far_rows_that_underflow_to_zero():
     # the far rows' amplitudes are exact +0, at t = t0 and also at t != t0,

@@ -376,3 +376,22 @@ def test_solve_mu_count_budget(monkeypatch):
             n_target = math.fsum(_own_occupancies(eps, g, mu, kT, statistics))
             dist.solve_mu_on_levels(n_target, eps, g, kT, statistics)
     assert len(calls) < 291
+
+
+def test_bose_occupation_past_the_expm1_range_is_zero_without_a_warning():
+    # expm1 overflows past x ~ 709, where the occupation 0 is right; each
+    # public caller silences that warning, which the suite turns into errors
+    eps = np.array([0.5, 2.0, 800.0, 1e4])
+    occ = dist.occupancy(eps, 0.0, bose_spec())
+    assert occ[0] == pytest.approx(1.0 / math.expm1(0.5), rel=1e-15)
+    assert occ[2] == occ[3] == 0.0
+    levels = np.array([0.0, 1.0, 2.0, 900.0])
+    g = np.ones(4)
+    want = 1.0 / np.expm1(levels[:3] + 1.0)  # T = 1, mu = -1; 0 on the top level
+    n_target, e_target = float(want.sum()), float((want * levels[:3]).sum())
+    assert dist.solve_mu_on_levels(n_target, levels, g, 1.0, "bose") == pytest.approx(
+        -1.0, rel=1e-9)
+    res = dist.max_entropy_on_levels(levels, g, n_target, e_target, "bose")
+    assert res.occupancies[3] == 0.0
+    assert res.mu == pytest.approx(-1.0, rel=1e-9)
+    assert res.temperature == pytest.approx(1.0, rel=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -422,6 +423,109 @@ def test_arrangements_match_sorted_permutations(n):
     assert parity.dtype == np.intp
     assert (1 - 2 * parity).tolist() == [
         sym.permutation_parity(p) for p in itertools.permutations(range(n))]
+
+
+
+def test_arrangements_are_kept_read_only_per_pattern():
+    sym._arrangements.cache_clear()
+    table = sym._arrangements((2, 1, 1))
+    assert sym._arrangements((2, 1, 1)) is table
+    assert sym._arrangements.cache_info().hits == 1
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # the memo is bounded: the ninth pattern evicts the first
+    for n in range(1, 9):
+        sym._arrangements((1,) * n)
+    assert sym._arrangements.cache_info().currsize == sym._arrangements.cache_info().maxsize == 8
+    assert sym._arrangements((2, 1, 1)) is not table
+    assert np.array_equal(sym._arrangements((2, 1, 1)), table)
+
+
+# Orbits of one pattern and of several: five orbits of runs (1, 1, 2, 1),
+# two of (1, 1, 1, 1, 1) and one of (2, 3), some entered as several
+# rearrangements, so one table serves several members (the offset path)
+# and the blocks of several tables are sorted together.
+SEVERAL_ORBITS = sym._canonical(5, [
+    (0.5 + 0.25j * k, tuple(np.roll([9 + k, 9 + k, 3, -2 + 2 * k, 40], k).tolist()))
+    for k in range(5)] + [
+    (-1.25, (4, 0, 3, 1, 2)), (0.75j, (2, 3, 0, 4, 1)), (1e-3, (50, 60, 70, 80, 90)),
+    (2.0 - 1j, (7, 5, 7, 5, 7)), (-0.5, (5, 5, 7, 7, 7))])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("s", [sym.product_state([3, -1, 8, 0, 5, 2, 6]),
+                               sym.product_state([4, 1, 4, 0, 1, 4, 9], 0.5 - 2j),
+                               SEVERAL_ORBITS])
+def test_projectors_match_reference_with_the_memo_cold_and_warm(s, warm):
+    sym._arrangements.cache_clear()
+    if warm:
+        sym.symmetrize(s), sym.antisymmetrize(s)
+    for signed, project in ((False, sym.symmetrize), (True, sym.antisymmetrize)):
+        got = project(s)
+        want = reference_orbit_projector(s, signed)
+        assert np.array_equal(got.modes, want.modes)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert_canonical_arrays(got)
+    # each pattern's table is built once, and not again when warm
+    assert sym._arrangements.cache_info().misses == len(
+        {tuple(len(list(g)) for _, g in itertools.groupby(row))
+         for row in np.sort(s.modes, axis=1).tolist()})
+
+
+def test_several_orbits_share_one_table():
+    sym._arrangements.cache_clear()
+    out = sym.symmetrize(SEVERAL_ORBITS)
+    assert sym._arrangements.cache_info().misses == 3
+    assert len(out.coeffs) == 5 * 60 + 2 * 120 + 10
+
+
+def test_size_guard_builds_no_table():
+    sym._arrangements.cache_clear()
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        with pytest.raises(TooLarge):
+            project(TEN_ORBITS_OF_EIGHT)
+        with pytest.raises(TooLarge):
+            project(sym.product_state(range(12)))
+    assert sym._arrangements.cache_info().misses == 0
+
+
+def test_warm_projection_of_eight_distinct_modes_allocates_only_its_output():
+    # The ids are gathered into the one buffer that becomes the output's
+    # modes: a second (8!, 8) temporary would add 2.6 MB, a fresh table 0.3 MB.
+    s = sym.product_state(range(8))
+    sym.symmetrize(s)
+    tracemalloc.start()
+    try:
+        out = sym.symmetrize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.modes.shape == (math.factorial(8), 8)
+    size = out.modes.nbytes + out.coeffs.nbytes
+    assert peak <= size + (1 << 16), (peak, size)
+
+
+def test_product_term_is_slotted_and_behaves_as_before():
+    t = sym.ProductTerm(1 + 2j, (3, 1))
+    assert not hasattr(t, "__dict__") and sym.ProductTerm.__slots__ == ("coeff", "modes")
+    assert repr(t) == "ProductTerm(coeff=(1+2j), modes=(3, 1))"
+    assert t == sym.ProductTerm(1 + 2j, [3, 1]) and hash(t) == hash(((1 + 2j), (3, 1)))
+    assert t != sym.ProductTerm(1 + 2j, (1, 3)) and t != (1 + 2j, (3, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.coeff = 0j
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.modes
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and repr(back) == repr(t) and hash(back) == hash(t)
+    # the state's terms come through _term, which skips __post_init__
+    s = sym.symmetrize(sym.product_state([2, 0, 2], 0.5j))
+    fast = sym._term(0.5j / 3, (0, 2, 2))
+    assert type(fast) is sym.ProductTerm and fast == s.terms[0]
+    assert s.terms == tuple(sym.ProductTerm(c, m) for c, m in
+                            zip(s.coeffs.tolist(), map(tuple, s.modes.tolist())))
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back.terms == s.terms and hash(back) == hash(s)
 
 
 # Ten products of eight distinct modes, no two over the same modes.

@@ -148,6 +148,25 @@ def test_width_past_the_float_range_is_refused():
     assert abs(wp.overlap(p, moved, 0.0)) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_huge_hbar_packet_is_finite_at_its_minimum_width_time():
+    # 2*hbar passes the float range at hbar = 1e308, but hbar*(t - t0) is 0
+    # at t0, so A = 0 there and the packet is the hbar = 1 packet at t0
+    p = wp.WavePacket(m0=1.0, sigma=2.0, hbar=1e308)
+    plain = wp.WavePacket(m0=1.0, sigma=2.0)
+    xs = np.linspace(-6.0, 6.0, 9)
+    assert wp.spreading_factor(p, 0.0) == 0.0
+    psi = wp.evaluate(p, xs, 0.0)
+    assert np.all(np.isfinite(psi))
+    assert np.array_equal(psi, wp.evaluate(plain, xs, 0.0))
+    assert np.array_equal(wp.density(p, xs, 0.0), wp.density(plain, xs, 0.0))
+    assert wp.overlap(p, p, 0.0) == pytest.approx(1.0, rel=1e-12)
+    # the doubling is exact: A is bit-identical where 2*hbar stays finite
+    q = wp.WavePacket(m0=1.3, sigma=0.7, t0=0.2, hbar=3.1)
+    for t in (-4.0, 0.2, 0.9, 1e3):
+        assert wp.spreading_factor(q, t) == 2.0 * q.hbar * (t - q.t0) / (q.m0 * q.sigma**2)
+
+
 def test_overlap_conjugate_symmetry():
     p1 = wp.WavePacket(m0=1.0, sigma=1.0, x0=-0.7, k0=0.9)
     p2 = wp.WavePacket(m0=1.0, sigma=1.4, x0=0.6, k0=-0.4, t0=0.2)
