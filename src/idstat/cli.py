@@ -171,7 +171,8 @@ def _cmd_evolve(args, cfg: Config, out) -> int:
         raise ValueError("psi passes the float range on this grid and time range")
     columns = [np.repeat(times, xs.size), np.tile(xs, times.size),
                psi.real, psi.imag, np.abs(psi) ** 2]
-    _emit_table(out, [("evolve", ["t", "x", "re", "im", "density"], columns)], args.format)
+    _emit_table(out, [("evolve", ["t", "x", "re", "im", "density"], columns)],
+                cfg.output_format)
     return 0
 
 
@@ -283,7 +284,7 @@ def _cmd_count(args, cfg: Config, out) -> int:
     if args.entropy:
         rs = counting.RegionSet((region,), k=cfg.k_boltzmann)
         lines["entropy"] = FMT % counting.entropy(rs, args.stat)
-    if args.format == "json":
+    if cfg.output_format == "json":
         print(json.dumps(lines, indent=2, sort_keys=True), file=out)
     else:
         print(lines["count"], file=out)
@@ -301,19 +302,20 @@ def _cmd_distribute(args, cfg: Config, out) -> int:
     ps = grid.centers()
     eps = distributions.grid_energies(spec, grid)
     g = distributions.grid_mode_counts(spec, grid)
-    mu = distributions.solve_mu(args.N, spec, grid)
+    mu = distributions.solve_mu_on_levels(args.N, eps, g, spec.kT, spec.statistics)
     occ = distributions.occupancy(eps, mu, spec, g_p=g)
     if args.via == "maxent":
         e_target = float((occ * eps).sum())
-        occ = distributions.max_entropy_occupancies(spec, grid, args.N, e_target).occupancies
+        occ = distributions.max_entropy_on_levels(
+            eps, g, args.N, e_target, spec.statistics, spec.k).occupancies
     _emit_table(out, [("distribute", ["p", "eps", "g_p", "occupancy"], [ps, eps, g, occ])],
-                args.format)
+                cfg.output_format)
     return 0
 
 
 def _cmd_balance(args, cfg: Config, out) -> int:
     energies = np.arange(1.0, args.bins + 1.0)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(cfg.seed)
     g_fn = lambda eps: args.g0
     pop1 = balance.stationary_population(
         g_fn, args.beta, args.mu, energies, 1.0, s_max=args.smax, kind=1)
@@ -323,7 +325,7 @@ def _cmd_balance(args, cfg: Config, out) -> int:
     pop1, pop2 = balance.scramble(pop1, pop2, channels, rng)
     try:
         result = balance.relax(pop1, pop2, channels, steps=args.steps,
-                               seed=args.seed, tol=args.tol)
+                               seed=cfg.seed, tol=args.tol)
         code = 0
     except NonConvergence as exc:
         result = exc.result
@@ -337,7 +339,7 @@ def _cmd_balance(args, cfg: Config, out) -> int:
         ("population", ["eps", "s", "p"],
          [np.repeat(pop.energies, pop.s_max + 1),
           np.tile(np.arange(pop.s_max + 1), pop.n_bins), pop.table.T.ravel()]),
-    ], args.format)
+    ], cfg.output_format)
     return code
 
 
@@ -500,8 +502,6 @@ def run(argv=None, out=None) -> int:
             env = os.environ.get("IDSTAT_SEED")
             seed = int(env) if env else cfg.seed
         cfg = replace(cfg, output_format=args.format or cfg.output_format, seed=seed)
-        args.format = cfg.output_format
-        args.seed = cfg.seed
         return args.func(args, cfg, out)
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)

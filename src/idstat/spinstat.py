@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from .errors import DegenerateAngles, SpinMismatch
-from .symmetry import ModeRegistry, NParticleState, _canonical
+from .symmetry import ModeRegistry, NParticleState, exchange_superposition
 
 __all__ = [
     "SpinorMode",
@@ -122,10 +122,9 @@ def exchanged_pair_state(a: SpinorMode, b: SpinorMode,
             f"pair construction needs equal (s, m); got ({a.s}, {a.m}) and ({b.s}, {b.m})"
         )
     f = exchange_phase(a.m, a.chi, b.chi)
-    id_a = registry.register(a)
-    id_b = registry.register(b)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return _canonical(2, [(inv_sqrt2, (id_a, id_b)), (inv_sqrt2 * f, (id_b, id_a))])
+    return exchange_superposition(registry.register(a), registry.register(b),
+                                  inv_sqrt2, inv_sqrt2 * f)
 
 
 class SpinorOverlap:

@@ -20,8 +20,9 @@ len(terms) * n!.  The table of arrangements depends only on the run
 lengths m_k, so it is built once per multiplicity pattern and kept (the
 last 8 patterns, read-only); each projection gathers its ids from it
 into one output-sized buffer.  ``scalar_product`` meets in the middle of
-the slots instead of looping over term pairs, and sums each group of
-terms as one sparse product.
+the slots instead of looping over term pairs: a's coefficients form one
+sparse head-by-tail matrix, built once per call, and b's terms are taken
+in runs sized by the tables each run forms.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -542,7 +543,8 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
             rank_blocks.append(ranks[members][:, first_slots].take(index).reshape(-1, n))
         np.take(orbits[members][:, first_slots], index, out=index, mode="clip")
         mode_blocks.append(index.reshape(-1, n))
-        coeff_blocks.append(signed_weights[members][:, _parities(n)].ravel() if signed
+        coeff_blocks.append(np.where(_parities(n), signed_weights[members, 1:],
+                                     signed_weights[members, :1]).ravel() if signed
                             else np.repeat(signed_weights[members, 0], len(table)))
     if not mode_blocks:
         return zero_state(n)
@@ -556,12 +558,15 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
                  np.concatenate(coeff_blocks)[order], None)
 
 
+@functools.lru_cache(maxsize=8)
 def _parities(n: int) -> np.ndarray:
-    """The parity (1 for odd) of each permutation of n in lexicographic
-    order: putting f first adds f inversions to the permutation of the rest."""
-    parity = np.zeros(1, dtype=np.intp)
+    """The parity (True for odd) of each permutation of n in lexicographic
+    order, kept read-only for the last 8 n: putting f first adds f
+    inversions to the permutation of the rest."""
+    parity = np.zeros(1, dtype=bool)
     for size in range(2, n + 1):
-        parity = ((np.arange(size)[:, None] & 1) ^ parity).ravel()
+        parity = ((np.arange(size)[:, None] % 2 == 1) ^ parity).ravel()
+    parity.flags.writeable = False
     return parity
 
 
@@ -613,52 +618,59 @@ def scalar_product(a: NParticleState, b: NParticleState,
     P_a P_b h and S_a S_b (n - h) table entries, against the T_a T_b n of
     a loop over term pairs.  No count of distinct heads or tails exceeds
     its state's term count, so it is never of a larger order.  Each group
-    sum is one sparse product (``_group_sums``): the coefficients are a
-    CSR matrix over the groups, so the table rows are read where they lie
-    and no term-by-column gather is formed.  b's terms, sorted by tail,
-    are taken in runs short enough that each temporary (a's tails or
-    heads by the run's tails, the run's heads or tails by a's heads)
-    stays within _TERM_PAIR_BLOCK = 64k complex entries; only a single
-    column can pass it, when a has more terms or heads than that.
-    scipy.sparse is imported on the first call.
+    sum is one sparse product, so the table rows are read where they lie:
+    X is a's CSR matrix of conj(ca) (heads by tails, built once) times R,
+    and Y a run's CSR matrix of cb (tails by heads) times the head table.
+    b's terms, sorted by tail, are taken in runs of at most
+    _TERM_PAIR_BLOCK (64k) // max(P_a, S_a) tails, which bounds R, X and
+    Y to 64k complex entries.  The head table is built once when P_a P_b
+    fits that budget; else each run builds it for its own heads and holds
+    at most _TERM_PAIR_BLOCK // P_a terms.  Only a single column can pass
+    the budget, when a has more heads or tails than that.  scipy.sparse is
+    imported on the first call.
     """
     if a.n != b.n:
         raise SizeMismatch(f"scalar product of {a.n}- and {b.n}-particle states")
     if a.is_zero or b.is_zero:
         return 0j
+    from scipy.sparse import csr_array
+
     a_modes, a_slots = _mode_indices(a)
     b_modes, b_slots = _mode_indices(b)
     table = _overlap_table(a_modes, b_modes, ov)
     table_t = np.ascontiguousarray(table.T)
     split = a.n // 2
-    a_order, a_heads, a_tails, a_head, a_tail, head_starts = _halves(
+    a_order, a_heads, a_tails, _, a_tail, head_starts = _halves(
         a_slots, split, len(a_modes), by_tail=False)
     b_order, b_heads, b_tails, b_head, b_tail, tail_starts = _halves(
         b_slots, split, len(b_modes), by_tail=True)
-    ca = np.conj(a.coeffs)[a_order]
+    # ga[p, t]: a's coefficients, one row per head, one column per tail
+    ga = csr_array((np.conj(a.coeffs)[a_order], a_tail, head_starts),
+                   shape=(len(a_heads), len(a_tails)))
     cb = b.coeffs[b_order]
     # lt[q, p] = L[p, q], for all of b's heads at once when that fits
     whole = len(a_heads) * len(b_heads) <= _TERM_PAIR_BLOCK
     lt = _slot_products(table_t, b_heads, a_heads) if whole else None
-    tail_width = max(1, _TERM_PAIR_BLOCK // len(ca))
+    tail_width = max(1, _TERM_PAIR_BLOCK // max(len(a_heads), len(a_tails)))
     term_width = max(1, _TERM_PAIR_BLOCK // len(a_heads))
     total = 0j
     start = 0
     while start < len(cb):
         first = b_tail[start]
-        stop = min(start + term_width,
-                   tail_starts[min(first + tail_width, len(b_tails))])
+        stop = tail_starts[min(first + tail_width, len(b_tails))]
+        if not whole:
+            stop = min(stop, start + term_width)
         tails = slice(first, b_tail[stop - 1] + 1)
         # x[p, u]: a's terms summed by head against b's tails in the run
-        r = _slot_products(table, a_tails, b_tails[tails])
-        x = _group_sums(r, a_tail, ca, head_starts)
+        x = ga @ _slot_products(table, a_tails, b_tails[tails])
         # y[u, p]: b's terms in the run summed by tail against a's heads
         head = b_head[start:stop]
         if not whole:
             heads, head = np.unique(head, return_inverse=True)
             lt = _slot_products(table_t, b_heads[heads], a_heads)
-        y = _group_sums(lt, head, cb[start:stop],
-                        np.clip(tail_starts[first:tails.stop + 1], start, stop) - start)
+        run_starts = np.clip(tail_starts[first:tails.stop + 1], start, stop) - start
+        y = csr_array((cb[start:stop], head, run_starts),
+                      shape=(len(run_starts) - 1, len(lt))) @ lt
         total += np.einsum("pu,up->", x, y)
         start = stop
     return complex(total)
@@ -715,19 +727,6 @@ def _slot_products(table: np.ndarray, a_rows: np.ndarray,
     for j in range(a_rows.shape[1]):
         out *= table.take(a_rows[:, j, None] * width + b_rows[:, j])
     return out
-
-
-def _group_sums(rows: np.ndarray, index: np.ndarray, coeffs: np.ndarray,
-                starts: np.ndarray) -> np.ndarray:
-    """G[g] = sum of coeffs[i] * rows[index[i]] over i in starts[g] to
-    starts[g + 1], as one sparse product: the coefficients are the
-    entries of a CSR matrix whose rows are the groups, so no gather of
-    ``rows`` is formed.  scipy.sparse is imported here, on the first
-    scalar product, so that the CLI commands that never take one start
-    without it."""
-    from scipy.sparse import csr_array
-
-    return csr_array((coeffs, index, starts), shape=(len(starts) - 1, len(rows))) @ rows
 
 
 def _mode_indices(s: NParticleState) -> tuple[list[int], np.ndarray]:

@@ -420,7 +420,7 @@ def test_arrangements_match_sorted_permutations(n):
         assert np.array_equal(table, want), runs
     # the parity of each row of the distinct table, as a permutation
     parity = sym._parities(n)
-    assert parity.dtype == np.intp
+    assert parity.dtype == bool and not parity.flags.writeable
     assert (1 - 2 * parity).tolist() == [
         sym.permutation_parity(p) for p in itertools.permutations(range(n))]
 
@@ -996,14 +996,39 @@ def test_scalar_product_in_blocks_matches_reference_loop(block, monkeypatch):
     rng = np.random.default_rng(3)
     ov = random_unit_overlap(12, rng)
     a, b = (random_state(4, 12, 300, rng) for _ in range(2))
-    runs = []
-    group_sums = sym._group_sums
+    # one table of slot products per run (R), plus b's head table (once,
+    # or once per run when it does not fit)
+    tables = []
+    slot_products = sym._slot_products
     monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", block)
-    monkeypatch.setattr(sym, "_group_sums",
-                        lambda *args: runs.append(1) or group_sums(*args))
+    monkeypatch.setattr(sym, "_slot_products",
+                        lambda *args: tables.append(1) or slot_products(*args))
     want, mass = reference_scalar_product(a, b, ov)
     assert abs(sym.scalar_product(a, b, ov) - want) <= 1e-12 * mass
-    assert len(runs) >= (2 if block == sym._TERM_PAIR_BLOCK else 6)
+    assert len(tables) >= (2 if block == sym._TERM_PAIR_BLOCK else 6)
+
+
+def test_scalar_product_of_six_particle_projections_takes_one_run(monkeypatch):
+    # two symmetrized products of 6 distinct modes: 720 terms and 120 heads
+    # and tails a side, so one run covers all of b's tails; a's group
+    # matrix is built once, and b's once for that run
+    import scipy.sparse
+
+    rng = np.random.default_rng(6)
+    ov = random_unit_overlap(12, rng)
+    a_modes, b_modes = (rng.choice(12, 6, replace=False).tolist() for _ in range(2))
+    a = sym.symmetrize(sym.product_state(a_modes))
+    b = sym.symmetrize(sym.product_state(b_modes))
+    tables, builds = [], []
+    slot_products, csr_array = sym._slot_products, scipy.sparse.csr_array
+    monkeypatch.setattr(sym, "_slot_products",
+                        lambda *args: tables.append(1) or slot_products(*args))
+    monkeypatch.setattr(scipy.sparse, "csr_array",
+                        lambda *args, **kw: builds.append(1) or csr_array(*args, **kw))
+    value = sym.scalar_product(a, b, ov)
+    m = sym.overlap_matrix(a_modes, b_modes, ov)
+    assert value * math.factorial(6) == pytest.approx(sym.permanent(m), abs=1e-10)
+    assert (len(tables), len(builds)) == (2, 2)
 
 
 def test_scalar_product_of_zero_and_one_particle_states():
@@ -1288,9 +1313,13 @@ def test_permanent_guards():
         sym.permanent(np.ones((21, 21)))
 
 
-def test_antisymmetrized_overlap_is_determinant():
+def test_antisymmetrized_overlap_is_determinant(monkeypatch):
     ov = random_unit_overlap(7)
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 7):
+        if n == 7:
+            # 210 heads a side do not fit one head table at this budget, so
+            # b's head table is built per run and b spans many runs
+            monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", 4096)
         a_modes = list(range(n))
         b_modes = list(RNG.permutation(7)[:n])
         a = sym.antisymmetrize(sym.product_state(a_modes))
