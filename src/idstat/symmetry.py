@@ -19,10 +19,23 @@ modes) in lexicographic order, so their cost follows the output, not
 len(terms) * n!.  The table of arrangements depends only on the run
 lengths m_k, so it is built once per multiplicity pattern and kept (the
 last 8 patterns, read-only); each projection gathers its ids from it
-into one output-sized buffer.  ``scalar_product`` meets in the middle of
-the slots instead of looping over term pairs: a's coefficients form one
-sparse head-by-tail matrix, built once per call, and b's terms are taken
-in runs sized by the tables each run forms.
+into one output-sized buffer.  The orbit grouping (each row sorted, each
+row's orbit, the sign of the permutation that sorts it) is shared by the
+projectors and ``scalar_product``.
+
+``scalar_product`` never loops over term pairs.  When either state lies
+exactly in a projector's range (each orbit holds every arrangement of
+its modes, all with one coefficient, or for the antisymmetrizer with one
+coefficient times the arrangement's sign; exact comparisons on the
+arrays decide), it sums over pairs of orbits instead: each pair adds one
+permanent or determinant of the single-particle overlaps of the two
+orbits' modes (Loewdin 1955), where the term-pair sum would add up to
+n! x n! products.  Every other state pair, or one for which the orbit
+pairs would cost more than the term pairs they replace, meets in the
+middle of the slots: a's coefficients form one sparse head-by-tail
+matrix, built once per call, and b's terms are taken in runs sized by
+the tables each run forms.  Both routes read one table of overlaps
+ov(a mode, b mode), so the overlap need not be Hermitian.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -102,8 +115,13 @@ PROJECTOR_MAX_IDS = 9 * PROJECTOR_MAX_ROWS
 # Row keys stay below this, so that a key plus it still fits in an int64.
 _KEY_LIMIT = 1 << 62
 
-# Complex entries in each temporary of scalar_product.
+# Entries in each temporary of scalar_product (complex), and in each
+# block that the projectors write and the parity helper compares.
 _TERM_PAIR_BLOCK = 1 << 16
+
+# What one permanent or determinant call of scalar_product's orbit route
+# costs beyond its arithmetic, in term pairs of the meet in the middle.
+_ORBIT_PAIR_CALL = 4096
 
 OverlapProvider = Callable[[int, int], complex]
 
@@ -264,20 +282,25 @@ def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge(ranks: np.ndarray, size: int,
-           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First index and coefficient sum (from 0j in input order, as a dict
     merge adds) of each distinct rank row (ranks below ``size``), in
-    lexicographic order: the rows are grouped by their ``_row_keys``."""
+    lexicographic order, and each row's group as an index into them: the
+    rows are grouped by their ``_row_keys``."""
     if len(ranks) == 1:
-        return np.zeros(1, dtype=np.intp), coeffs + 0  # 0j + c
-    _, first, group = np.unique(_row_keys(ranks, size), return_index=True,
-                                return_inverse=True)
+        one = np.zeros(1, dtype=np.intp)
+        return one, coeffs + 0, one  # 0j + c
+    keys = _row_keys(ranks, size)
+    if len(keys) and (keys == keys[0]).all():  # one group: no sort needed
+        first, group = np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
+    else:
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     sums = np.zeros(len(first), dtype=complex)
     # A sum past the float range is left as inf (or nan) for the caller
     # to refuse, as Python's complex arithmetic does without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(sums, group, coeffs)
-    return first, sums
+    return first, sums, group
 
 
 def _merged(rows: np.ndarray,
@@ -286,7 +309,7 @@ def _merged(rows: np.ndarray,
     the rank rows into them and the coefficient sums that are kept, the
     sums at or below COEFF_DROP_TOL dropped.  A non-finite sum raises."""
     ids, ranks = _ranked(rows)
-    first, sums = _merge(ranks, len(ids), coeffs)
+    first, sums, _ = _merge(ranks, len(ids), coeffs)
     if not np.isfinite(sums).all():
         raise ValueError("term coefficient must be finite")
     keep = np.abs(sums) > COEFF_DROP_TOL
@@ -340,7 +363,7 @@ def states_close(a: NParticleState, b: NParticleState, tol: float = 1e-12) -> bo
     if a.n != b.n:
         return False
     ids, ranks = _ranked(np.concatenate([a.modes, b.modes]))
-    _, diff = _merge(ranks, len(ids), np.concatenate([a.coeffs, -b.coeffs]))
+    _, diff, _ = _merge(ranks, len(ids), np.concatenate([a.coeffs, -b.coeffs]))
     return bool(np.all(np.abs(diff) <= tol))
 
 
@@ -490,19 +513,15 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
         return zero_state(n)
     if signed:
         modes, orbits = modes[distinct], orbits[distinct]
-        # times the sign of the permutation that sorts the row: the parity
-        # of the row's inversions
-        inversions = np.triu(modes[:, :, None] > modes[:, None, :], 1).sum(axis=(1, 2))
-        coeffs = np.where(inversions & 1, -coeffs, coeffs)
+        # times the sign of the permutation that sorts the row
+        coeffs = np.where(_odd(modes), -coeffs, coeffs)
     ids, ranks, sums = _merged(orbits, coeffs)
     orbits = ids[ranks]
     # The orbits by their runs of equal ids (a run starts where the id
     # changes): the run lengths m_k pick the table, and the first slot of
     # each run the id that the table's class index stands for.
-    starts = np.ones(orbits.shape, dtype=bool)
-    starts[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
     groups: dict = {}
-    for orbit, row in enumerate(starts.tolist()):
+    for orbit, row in enumerate(_run_starts(orbits).tolist()):
         groups.setdefault(tuple(row), []).append(orbit)
     patterns = []
     sizes = np.empty(len(sums))
@@ -524,38 +543,78 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
     # 1 / M), and + 0 and 0 - give the zeros of a sum from 0j.
     weights = (sums.view(float).reshape(-1, 2) / sizes[:, None]).view(complex).ravel()
     kept = np.abs(weights) > COEFF_DROP_TOL
-    several = np.count_nonzero(kept) > 1
     signed_weights = np.stack([weights + 0, 0 - weights], axis=1)
-    mode_blocks, coeff_blocks, rank_blocks = [], [], []
+
+    def coefficients(members, size):
+        return (np.where(_parities(n), signed_weights[members, 1:],
+                         signed_weights[members, :1]).ravel() if signed
+                else np.repeat(signed_weights[members, 0], size))
+
+    blocks = []
     for runs, first_slots, members in patterns:
         members = members[kept[members]]
-        if not len(members):
-            continue
-        # Slot j of arrangement r of member i holds the id (rank) at the
-        # start of run table[r, j] of orbit i: the class indices, offset by
-        # i * len(runs) into the members' run heads, are gathered in place.
-        table = _arrangements(runs)
-        index = np.empty((len(members),) + table.shape, dtype=np.intp)
-        index[...] = table
-        if len(members) > 1:
-            index += (np.arange(len(members)) * len(runs))[:, None, None]
-        if several:
-            rank_blocks.append(ranks[members][:, first_slots].take(index).reshape(-1, n))
-        np.take(orbits[members][:, first_slots], index, out=index, mode="clip")
-        mode_blocks.append(index.reshape(-1, n))
-        coeff_blocks.append(np.where(_parities(n), signed_weights[members, 1:],
-                                     signed_weights[members, :1]).ravel() if signed
-                            else np.repeat(signed_weights[members, 0], len(table)))
-    if not mode_blocks:
+        if len(members):
+            blocks.append((_arrangements(runs), first_slots, members))
+    if not blocks:
         return zero_state(n)
-    if not several:
-        return _fill(object.__new__(NParticleState), n, mode_blocks[0],
-                     coeff_blocks[0], None)
-    # The orbits are disjoint sets of rows: one sort puts them in order.
-    # Each block is already in order, which a stable sort (timsort) exploits.
-    order = np.argsort(_row_keys(np.concatenate(rank_blocks), len(ids)), kind="stable")
-    return _fill(object.__new__(NParticleState), n, np.concatenate(mode_blocks)[order],
-                 np.concatenate(coeff_blocks)[order], None)
+    if len(blocks) == 1 and len(blocks[0][2]) == 1:
+        # One orbit: its arrangements are already in order.  Slot j of
+        # arrangement r holds the id at the start of run table[r, j],
+        # gathered in place into the buffer that becomes the output.
+        table, first_slots, members = blocks[0]
+        index = np.empty(table.shape, dtype=np.intp)
+        index[...] = table
+        np.take(orbits[members[0], first_slots], index, out=index, mode="clip")
+        return _fill(object.__new__(NParticleState), n, index,
+                     coefficients(members, len(table)), None)
+    # The orbits are disjoint sets of rows.  Their order is taken from the
+    # rank rows first (each orbit's rows are in order already, which a
+    # stable sort exploits); then each block of orbits is gathered and
+    # written at its sorted rows, so only the output is held at full size.
+    heads = [ranks[members][:, first_slots] for _, first_slots, members in blocks]
+    order = np.argsort(_row_keys(np.concatenate(
+        [h[:, table].reshape(-1, n) for h, (table, _, _) in zip(heads, blocks)]),
+        len(ids)), kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    del order
+    out_modes = np.empty((len(position), n), dtype=np.int64)
+    out_coeffs = np.empty(len(position), dtype=complex)
+    # each row as one item, so that a row is written as one copy
+    row = np.dtype((np.void, out_modes.itemsize * n))
+    out_rows = out_modes.view(row).ravel()
+    start = 0
+    for h, (table, _, members) in zip(heads, blocks):
+        step = max(1, _TERM_PAIR_BLOCK // table.size)
+        for i in range(0, len(members), step):
+            at = position[start:start + len(members[i:i + step]) * len(table)]
+            block = np.ascontiguousarray(ids[h[i:i + step, table]].reshape(-1, n))
+            out_rows[at] = block.view(row).ravel()
+            out_coeffs[at] = coefficients(members[i:i + step], len(table))
+            start += len(at)
+    return _fill(object.__new__(NParticleState), n, out_modes, out_coeffs, None)
+
+
+def _run_starts(orbits: np.ndarray) -> np.ndarray:
+    """Where each sorted row starts a run of equal entries."""
+    starts = np.ones(orbits.shape, dtype=bool)
+    starts[:, 1:] = orbits[:, 1:] != orbits[:, :-1]
+    return starts
+
+
+def _odd(rows: np.ndarray) -> np.ndarray:
+    """Whether the permutation that sorts each row is odd: the parity of
+    the row's inversions, over all slot pairs of a block of rows at once
+    (blocks of _TERM_PAIR_BLOCK comparisons)."""
+    left, right = np.array(list(itertools.combinations(range(rows.shape[1]), 2)),
+                           dtype=np.intp).reshape(-1, 2).T
+    odd = np.empty(len(rows), dtype=bool)
+    step = max(1, _TERM_PAIR_BLOCK // max(1, len(left)))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        odd[start:start + step] = np.bitwise_xor.reduce(
+            block[:, left] > block[:, right], axis=1)
+    return odd
 
 
 @functools.lru_cache(maxsize=8)
@@ -601,13 +660,52 @@ def scalar_product(a: NParticleState, b: NParticleState,
                    ov: OverlapProvider) -> complex:
     """<a, b> = sum over term pairs of conj(ca) cb prod_j ov(ma_j, mb_j).
 
-    ov is called once per pair of distinct modes, one from each state,
-    not once per term pair.  The sum meets in the middle (Horowitz and
-    Sahni 1974): each term splits at slot h = n // 2 into a head (slots
-    before h) and a tail, and the slot product of a term pair is
-    L[head a, head b] * R[tail a, tail b], the products over the head and
-    over the tail slots of one distinct head or tail of each state.  With
-    a's terms grouped by head p and b's by tail u,
+    ov is called at most once per pair of distinct modes, one from each
+    state, not once per term pair, and always as ov(mode of a, mode of
+    b): both routes below read one such table, so ov need not be
+    Hermitian.
+
+    Orbit route.  A row's orbit is the set of its rearrangements, named
+    by its sorted row o; with mode multiplicities m_k it has
+    M = n!/prod(m_k!) distinct arrangements.  A state lies in the
+    symmetrizer's range when each orbit present holds all M arrangements
+    with one coefficient A, and in the antisymmetrizer's range when no
+    orbit repeats a mode and each holds all n! arrangements with A times
+    the sign of the permutation that sorts the row.  Summed over the
+    arrangements s of o, for any row r over the modes of an orbit o',
+
+        sum_s prod_j ov(s_j, r_j) = perm(G) / prod(m_k!),
+        sum_s sign(s) prod_j ov(s_j, r_j) = sign(r) det(G),
+
+    with G[i, j] = ov(o[i], o'[j]) (rows from a's orbit, columns from
+    b's).  So when one side P is projected and the other side Q has orbit
+    sums B (its coefficients summed per orbit from 0j in term order,
+    times sign(r) on the antisymmetric route, nothing dropped),
+
+        <a, b> = sum over orbit pairs of conj(x) y perm(G) / prod(m_k!)
+
+    (or det(G) with no division), where x and y are A on P's side and
+    B on Q's, and m_k are those of P's orbit.  An orbit of Q with a
+    repeated mode has det(G) = 0 and is skipped.  The test is exact: an
+    O(T n) check that every slot's ids, and their squares, sum alike
+    turns most other states away first; then P's rows must be distinct
+    in canonical order, each orbit's row count times prod(m_k!) must be
+    n!, and the coefficients (signed, for the antisymmetrizer) must be
+    equal within each orbit.  a is tried first, then b.  The route is
+    kept only when n <= PERMANENT_MAX_N and its cost, in term pairs, is
+    at most that of the pairs it replaces: each of the K_P K_Q orbit
+    pairs counts its permanent's 2^(n-1) Glynn sign vectors (or an LU's
+    n^2/3 steps of n) plus _ORBIT_PAIR_CALL for the call, against
+    T_a T_b plus one call.  The route groups rows by their ids less the
+    least id (a sort of the ids only when they span 2^31 values or
+    more), and ov is called only once it is taken, for the orbits' modes.
+
+    Term-pair route, for every other pair.  The sum meets in the middle
+    (Horowitz and Sahni 1974): each term splits at slot h = n // 2 into a
+    head (slots before h) and a tail, and the slot product of a term pair
+    is L[head a, head b] * R[tail a, tail b], the products over the head
+    and over the tail slots of one distinct head or tail of each state.
+    With a's terms grouped by head p and b's by tail u,
 
         <a, b> = sum_{p, u} X[p, u] Y[p, u],
         X[p, u] = sum_{i: head_i = p} conj(ca_i) R[tail_i, u],
@@ -627,23 +725,143 @@ def scalar_product(a: NParticleState, b: NParticleState,
     fits that budget; else each run builds it for its own heads and holds
     at most _TERM_PAIR_BLOCK // P_a terms.  Only a single column can pass
     the budget, when a has more heads or tails than that.  scipy.sparse is
-    imported on the first call.
+    imported on the first call of this route.
     """
     if a.n != b.n:
         raise SizeMismatch(f"scalar product of {a.n}- and {b.n}-particle states")
     if a.is_zero or b.is_zero:
         return 0j
+    total = _orbit_sum(a, b, ov)
+    if total is None:
+        a_modes, a_slots = _mode_indices(a)
+        b_modes, b_slots = _mode_indices(b)
+        total = _term_pair_sum(a, a_slots, b, b_slots,
+                               _overlap_table(a_modes, b_modes, ov))
+    return complex(total)
+
+
+def _orbit_sum(a: NParticleState, b: NParticleState,
+               ov: OverlapProvider) -> complex | None:
+    """<a, b> summed over orbit pairs (see scalar_product) when a or b
+    lies exactly in a projector's range and that sum is the cheaper one,
+    else None; ov is called only once the route is taken."""
+    n = a.n
+    if not 2 <= n <= PERMANENT_MAX_N:
+        return None
+    for projected, s in enumerate((a, b)):
+        found = _balanced(s) and _projection(s)
+        if found:
+            break
+    else:
+        return None
+    orbits, coeffs, signed = found
+    s = (b, a)[projected]
+    rows, base = _small_rows(s.modes)
+    first, sums, _ = _merge(np.sort(rows, axis=1), base,
+                            np.where(_odd(rows), -s.coeffs, s.coeffs) if signed
+                            else s.coeffs)
+    others = np.sort(s.modes[first], axis=1)
+    if signed:
+        # an orbit with a repeated mode has a determinant of 0
+        live = _run_starts(others).all(axis=1)
+        others, sums = others[live], sums[live]
+    pair_cost = (n * n // 3 if signed else 1 << (n - 1)) + _ORBIT_PAIR_CALL
+    if (len(orbits) * len(others) * pair_cost
+            > len(a.coeffs) * len(b.coeffs) + _ORBIT_PAIR_CALL):
+        return None
+    a_orbits, b_orbits, x, y = ((orbits, others, coeffs, sums) if projected == 0
+                                else (others, orbits, sums, coeffs))
+    # the overlaps of the orbits' modes, rows from a and columns from b,
+    # and each orbit's modes as indices into them
+    a_modes, b_modes = np.unique(a_orbits), np.unique(b_orbits)
+    table = _overlap_table(a_modes.tolist(), b_modes.tolist(), ov)
+    a_rows, b_rows = np.searchsorted(a_modes, a_orbits), np.searchsorted(b_modes, b_orbits)
+    evaluate = determinant if signed else permanent
+    step = max(1, _TERM_PAIR_BLOCK // (n * n))
+    total = 0j
+    for row, xk in zip(a_rows, np.conj(x).tolist()):
+        for start in range(0, len(b_rows), step):
+            # g[l, s, t] = ov(a mode s of this orbit, b mode t of orbit l)
+            g = table[row[:, None], b_rows[start:start + step, None, :]]
+            values = np.array([evaluate(m) for m in g])
+            total += xk * complex(values @ y[start:start + step])
+    return total
+
+
+def _small_rows(modes: np.ndarray) -> tuple[np.ndarray, int]:
+    """The mode ids as entries below a base, in the same order, and that
+    base: the ids less the least id when they span fewer than 2^31 values
+    (a registry's ids do), so that no sort is needed, else their ranks."""
+    low = int(modes.min())
+    span = int(modes.max()) - low + 1
+    if span < 1 << 31:
+        return modes - low, span
+    ids, ranks = _ranked(modes)
+    return ranks, len(ids)
+
+
+def _balanced(s: NParticleState) -> bool:
+    """Whether the mode ids, and their squares, add up alike in every slot,
+    as they do in a state that a projector maps to itself (each slot holds
+    the same ids as often): an O(T n) test that most other states fail.
+    (The sums may wrap; equal sums still wrap alike.)"""
+    modes = s.modes
+    return (len(set(np.einsum("ij->j", modes).tolist())) == 1
+            and len(set(np.einsum("ij,ij->j", modes, modes).tolist())) == 1)
+
+
+def _projection(s: NParticleState):
+    """(orbits as sorted rows of mode ids, coefficient per orbit over
+    prod m_k!, signed) when s lies exactly in the range of the
+    symmetrizer (signed False) or of the antisymmetrizer (signed True),
+    else None.
+
+    s's rows must be distinct, as the canonical order has them, and each
+    orbit must hold all of its n!/prod(m_k!) arrangements.  The
+    coefficient must then be equal on every row of an orbit, or, when no
+    orbit repeats a mode, equal once each is multiplied by the sign of
+    the permutation that sorts its row.  All tests are exact: the orbit
+    sums equal the term-pair sums only then.
+    """
+    rows, base = _small_rows(s.modes)
+    keys = _row_keys(rows, base)
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    ordered = np.sort(rows, axis=1)
+    first, _, orbit = _merge(ordered, base, s.coeffs)
+    starts = _run_starts(ordered[first])
+    distinct = starts.all()
+    weights = 1
+    if not distinct:
+        # prod m_k!: slot j adds a factor of its place in its run, 1, 2, ...
+        slot = np.arange(s.n)
+        weights = (slot + 1 - np.maximum.accumulate(np.where(starts, slot, 0), axis=1)
+                   ).prod(axis=1)
+    if not (np.bincount(orbit) * weights == math.factorial(s.n)).all():
+        return None
+    orbits = np.sort(s.modes[first], axis=1)
+    coeffs = s.coeffs
+    if np.array_equal(coeffs[first][orbit], coeffs):
+        return orbits, coeffs[first] / weights, False
+    if not distinct:
+        return None
+    coeffs = np.where(_odd(rows), -coeffs, coeffs)
+    if np.array_equal(coeffs[first][orbit], coeffs):
+        return orbits, coeffs[first], True
+    return None
+
+
+def _term_pair_sum(a: NParticleState, a_slots: np.ndarray, b: NParticleState,
+                   b_slots: np.ndarray, table: np.ndarray) -> complex:
+    """<a, b> by the meet in the middle (see scalar_product)."""
     from scipy.sparse import csr_array
 
-    a_modes, a_slots = _mode_indices(a)
-    b_modes, b_slots = _mode_indices(b)
-    table = _overlap_table(a_modes, b_modes, ov)
     table_t = np.ascontiguousarray(table.T)
     split = a.n // 2
     a_order, a_heads, a_tails, _, a_tail, head_starts = _halves(
-        a_slots, split, len(a_modes), by_tail=False)
+        a_slots, split, table.shape[0], by_tail=False)
     b_order, b_heads, b_tails, b_head, b_tail, tail_starts = _halves(
-        b_slots, split, len(b_modes), by_tail=True)
+        b_slots, split, table.shape[1], by_tail=True)
     # ga[p, t]: a's coefficients, one row per head, one column per tail
     ga = csr_array((np.conj(a.coeffs)[a_order], a_tail, head_starts),
                    shape=(len(a_heads), len(a_tails)))
@@ -673,7 +891,7 @@ def scalar_product(a: NParticleState, b: NParticleState,
                       shape=(len(run_starts) - 1, len(lt))) @ lt
         total += np.einsum("pu,up->", x, y)
         start = stop
-    return complex(total)
+    return total
 
 
 def _halves(slots: np.ndarray, split: int, base: int, by_tail: bool):
@@ -706,7 +924,11 @@ def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
     ordered as the rows are lexicographically, so equal rows and only
     they share a key: the columns are digits in that base, slot 0 most
     significant, and the partial keys are ranked again (np.unique) before
-    a column would take them past the limit.  No columns: every key 0."""
+    a column would take them past the limit.  When base^n fits, no
+    ranking is needed and the rows meet their digits' place values in one
+    matrix-vector product.  No columns: every key 0."""
+    if base ** rows.shape[1] <= _KEY_LIMIT:
+        return rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
     key = np.zeros(len(rows), dtype=np.int64)
     bound = 1
     for column in rows.T:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -582,6 +583,31 @@ def test_projector_of_two_runs_of_five_stays_small():
     assert peak < (math.factorial(10) * 10) // 100
 
 
+def test_projection_of_eight_orbits_holds_little_beside_its_output():
+    # eight orbits of eight distinct modes: 322560 rows, 25.8 MB out.  The
+    # row order is taken from the ranks first, and each block is written
+    # at its sorted rows; a copy of the joined blocks and another into
+    # order would peak at 2.8 times the output.
+    raw = [(1.0 + k, tuple(range(k, k + 8)[::-1])) for k in range(8)]
+    s = sym._canonical(8, raw)
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        project(s)
+        tracemalloc.start()
+        try:
+            out = project(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.coeffs) == 8 * math.factorial(8)
+        size = out.modes.nbytes + out.coeffs.nbytes
+        assert peak <= 1.6 * size, (peak, size)
+        # the orbits projected one by one, then merged in order
+        want = functools.reduce(sym.add, (project(sym._canonical(8, [t])) for t in raw))
+        assert out.modes.dtype == want.modes.dtype
+        assert np.array_equal(out.modes, want.modes)
+        assert out.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_antisymmetrize_repeated_mode_skips_expansion():
     # A repeated mode is dropped before the size guard is consulted.
     assert sym.antisymmetrize(sym.product_state([0] * 2 + list(range(1, 11)))).is_zero
@@ -1011,7 +1037,8 @@ def test_scalar_product_in_blocks_matches_reference_loop(block, monkeypatch):
 def test_scalar_product_of_six_particle_projections_takes_one_run(monkeypatch):
     # two symmetrized products of 6 distinct modes: 720 terms and 120 heads
     # and tails a side, so one run covers all of b's tails; a's group
-    # matrix is built once, and b's once for that run
+    # matrix is built once, and b's once for that run.  With the
+    # permanent guarded below n = 6 the pair takes the meet in the middle.
     import scipy.sparse
 
     rng = np.random.default_rng(6)
@@ -1019,6 +1046,8 @@ def test_scalar_product_of_six_particle_projections_takes_one_run(monkeypatch):
     a_modes, b_modes = (rng.choice(12, 6, replace=False).tolist() for _ in range(2))
     a = sym.symmetrize(sym.product_state(a_modes))
     b = sym.symmetrize(sym.product_state(b_modes))
+    perm = sym.permanent(sym.overlap_matrix(a_modes, b_modes, ov))
+    monkeypatch.setattr(sym, "PERMANENT_MAX_N", 5)
     tables, builds = [], []
     slot_products, csr_array = sym._slot_products, scipy.sparse.csr_array
     monkeypatch.setattr(sym, "_slot_products",
@@ -1026,8 +1055,7 @@ def test_scalar_product_of_six_particle_projections_takes_one_run(monkeypatch):
     monkeypatch.setattr(scipy.sparse, "csr_array",
                         lambda *args, **kw: builds.append(1) or csr_array(*args, **kw))
     value = sym.scalar_product(a, b, ov)
-    m = sym.overlap_matrix(a_modes, b_modes, ov)
-    assert value * math.factorial(6) == pytest.approx(sym.permanent(m), abs=1e-10)
+    assert value * math.factorial(6) == pytest.approx(perm, abs=1e-10)
     assert (len(tables), len(builds)) == (2, 2)
 
 
@@ -1092,6 +1120,167 @@ def test_projector_moves_across_scalar_product():
     aa = sym.antisymmetrize(a)
     assert sym.scalar_product(aa, sym.antisymmetrize(b), ov) == pytest.approx(
         sym.scalar_product(aa, b, ov), abs=1e-12)
+
+
+def overlap_table(n_modes: int, rng, hermitian: bool) -> np.ndarray:
+    """A random overlap table: a Gram matrix of unit vectors, or a plain
+    complex matrix whose (i, j) and (j, i) entries are unrelated."""
+    if hermitian:
+        return random_unit_overlap(n_modes, rng).matrix
+    return rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+
+
+def term_pair_sum(a, b, o: np.ndarray) -> tuple[complex, float]:
+    """<a, b> summed over all term pairs at once from the table o[i, j] of
+    ov(i, j), and the sum of |term| it adds up."""
+    if a.is_zero or b.is_zero:
+        return 0j, 0.0
+    terms = (np.conj(a.coeffs)[:, None] * b.coeffs[None, :]
+             * np.prod(o[a.modes[:, None, :], b.modes[None, :, :]], axis=2))
+    return complex(terms.sum()), float(np.abs(terms).sum())
+
+
+def count_route_calls(monkeypatch) -> list:
+    """Record each permanent and determinant that scalar_product evaluates."""
+    calls = []
+    for name in ("permanent", "determinant"):
+        real = getattr(sym, name)
+        monkeypatch.setattr(sym, name,
+                            lambda m, real=real, name=name: calls.append(name) or real(m))
+    return calls
+
+
+def test_orbit_route_matches_term_pair_sum(monkeypatch):
+    # symmetric, antisymmetric, general and zero states on either side,
+    # with modes that repeat and several orbits a state
+    rng = np.random.default_rng(25)
+    calls = count_route_calls(monkeypatch)
+    taken = {"permanent": 0, "determinant": 0}
+    for trial in range(1800):
+        n = int(rng.integers(2, 6))
+        n_modes = int(rng.integers(2, 8))
+        o = overlap_table(n_modes, rng, hermitian=bool(trial % 2))
+        ov = (lambda i, j, o=o: complex(o[i, j]))
+        made = []
+        for kind in rng.choice(["general", "sym", "anti", "sym", "anti", "zero"], 2):
+            s = random_state(n, n_modes, int(rng.integers(1, 4)), rng)
+            made.append({"general": s, "sym": sym.symmetrize(s),
+                         "anti": sym.antisymmetrize(s), "zero": sym.zero_state(n)}[kind])
+        a, b = made
+        for x, y in ((a, b), (b, a)):
+            del calls[:]
+            want, mass = term_pair_sum(x, y, o)
+            assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+            for name in set(calls):
+                taken[name] += 1
+    assert min(taken.values()) >= 100, taken
+
+
+def test_orbit_route_of_several_orbits_either_side(monkeypatch):
+    # three orbits a side, n = 5 with a repeated mode in some: 30 to 120
+    # arrangements each, so the orbit pairs undercut the term pairs.  The
+    # general state holds every arrangement of one orbit with random
+    # coefficients, and two rows of another orbit.
+    rng = np.random.default_rng(26)
+    calls = count_route_calls(monkeypatch)
+    o = overlap_table(7, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    rows = ([(0, 1, 2, 3, 4), (1, 1, 2, 5, 6), (0, 2, 3, 5, 6)],
+            [(6, 5, 4, 3, 2), (0, 0, 1, 4, 4), (1, 2, 3, 4, 5)])
+    general = sym._canonical(5, [
+        (complex(*rng.normal(size=2)), r)
+        for r in list(itertools.permutations((0, 1, 2, 3, 5))) + [(6, 1, 0, 2, 4), (4, 2, 0, 1, 6)]])
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        a, b = (project(sym._canonical(5, [(complex(*rng.normal(size=2)), r) for r in side]))
+                for side in rows)
+        for x, y in ((a, b), (b, a), (a, general), (general, b)):
+            del calls[:]
+            want, mass = term_pair_sum(x, y, o)
+            assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+            assert calls and set(calls) == {
+                "permanent" if project is sym.symmetrize else "determinant"}
+
+
+def test_orbit_route_over_ids_that_span_past_2_31(monkeypatch):
+    # ids spread over the int64 range are ranked, not shifted by the least
+    rng = np.random.default_rng(30)
+    calls = count_route_calls(monkeypatch)
+    ids = [-2**63, -2**40, 3, 2**31, 2**62, 2**63 - 1]
+    o = overlap_table(len(ids), rng, hermitian=False)
+    ov = lambda i, j: complex(o[ids.index(i), ids.index(j)])
+    rows = [(ids[5], ids[0], ids[3], ids[1], ids[4]), (ids[3], ids[1], ids[4], ids[2], ids[0]),
+            (ids[0], ids[2], ids[0], ids[5], ids[3])]
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        a, b, c = (project(sym.product_state(r, complex(*rng.normal(size=2)))) for r in rows)
+        for x, y in ((a, b), (b, a), (c, a)):
+            if y.is_zero or x.is_zero:
+                continue
+            del calls[:]
+            want, mass = reference_scalar_product(x, y, ov)
+            assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+            assert len(calls) == 1
+
+
+def test_orbit_route_keeps_the_permanent_guard():
+    # 21 bosons in one mode: past PERMANENT_MAX_N, so the term pairs are
+    # summed and no permanent is asked for (it would raise TooLarge)
+    rng = np.random.default_rng(27)
+    o = overlap_table(2, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    one_mode = sym.symmetrize(sym.product_state([0] * 21, 0.5 + 0.25j))
+    two_modes = sym.product_state([0] * 20 + [1], -1.0 + 2.0j)
+    for x, y in ((one_mode, one_mode), (one_mode, two_modes), (two_modes, one_mode)):
+        want, mass = term_pair_sum(x, y, o)
+        assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+
+
+def test_orbit_route_is_kept_only_where_it_is_cheaper(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the term-pair route was expected")
+
+    rng = np.random.default_rng(28)
+    o = overlap_table(12, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    # one term a side: a 12 x 12 permanent (2^11 sign vectors) for the
+    # one term pair it would replace
+    one_term = sym.symmetrize(sym.product_state([3] * 12, 1.5j))
+    assert len(one_term.coeffs) == 1
+    other = sym.product_state(rng.integers(0, 12, 12).tolist(), 0.5 - 1j)
+    cases = [(one_term, other), (other, one_term)]
+    # States that pass the O(T n) test on the slot sums (of the ids and of
+    # their squares) but lie in no projector's range, each against the
+    # arrangements of one orbit with random coefficients (one orbit pair,
+    # had either passed).
+    def scrambled(modes):
+        return sym._canonical(len(modes), [(complex(*rng.normal(size=2)), r)
+                                           for r in set(itertools.permutations(modes))])
+
+    # every arrangement present, but one coefficient differs
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        s = project(sym.product_state([0, 1, 2, 4]))
+        coeffs = s.coeffs.copy()
+        coeffs[5] *= 1 + 1e-12
+        cases.append((sym.NParticleState(4, tuple(
+            sym.ProductTerm(c, tuple(m)) for c, m in zip(coeffs.tolist(), s.modes.tolist()))),
+            scrambled((0, 1, 3, 5))))
+    # the three cyclic shifts: half the orbit is missing
+    cases.append((sym._canonical(3, [(1.0, (0, 1, 2)), (1.0, (1, 2, 0)), (1.0, (2, 0, 1))]),
+                  scrambled((0, 1, 5))))
+    # the three cyclic shifts twice each: as many rows as arrangements, in
+    # order, but not distinct
+    cases.append((sym.NParticleState(3, tuple(
+        sym.ProductTerm(1.0, m) for m in [(0, 1, 2), (0, 1, 2), (1, 2, 0), (1, 2, 0),
+                                          (2, 0, 1), (2, 0, 1)])), scrambled((0, 1, 5))))
+    # a repeated mode with signed coefficients: no antisymmetric state
+    cases.append((sym._canonical(3, [(1.0, (0, 0, 1)), (-1.0, (0, 1, 0)), (1.0, (1, 0, 0))]),
+                  scrambled((0, 1, 5))))
+    assert all(sym._balanced(x) for x, _ in cases[2:])
+    monkeypatch.setattr(sym, "permanent", refuse)
+    monkeypatch.setattr(sym, "determinant", refuse)
+    for x, y in cases:
+        for first, second in ((x, y), (y, x)):
+            want, mass = term_pair_sum(first, second, o)
+            assert abs(sym.scalar_product(first, second, ov) - want) <= 1e-12 * mass
 
 
 # -- exchange superpositions -----------------------------------------------------
@@ -1316,22 +1505,28 @@ def test_permanent_guards():
 def test_antisymmetrized_overlap_is_determinant(monkeypatch):
     ov = random_unit_overlap(7)
     for n in (2, 3, 4, 5, 6, 7):
-        if n == 7:
-            # 210 heads a side do not fit one head table at this budget, so
-            # b's head table is built per run and b spans many runs
-            monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", 4096)
         a_modes = list(range(n))
         b_modes = list(RNG.permutation(7)[:n])
+        m = sym.overlap_matrix(a_modes, b_modes, ov)
+        det, perm = sym.determinant(m), sym.permanent(m)
+        if n == 7:
+            # With the permanent guarded below n = 7 the pairs take the meet
+            # in the middle: 210 heads a side do not fit one head table at
+            # this budget, so b's head table is built per run over many
+            # runs, and the split is odd (3 head slots, 4 tail slots).
+            monkeypatch.setattr(sym, "PERMANENT_MAX_N", 6)
+            monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", 4096)
+            calls = count_route_calls(monkeypatch)
         a = sym.antisymmetrize(sym.product_state(a_modes))
         b = sym.antisymmetrize(sym.product_state(b_modes))
-        m = sym.overlap_matrix(a_modes, b_modes, ov)
         lhs = sym.scalar_product(a, b, ov) * math.factorial(n)
-        assert lhs == pytest.approx(sym.determinant(m), abs=1e-10)
+        assert lhs == pytest.approx(det, abs=1e-10)
 
         s_a = sym.symmetrize(sym.product_state(a_modes))
         s_b = sym.symmetrize(sym.product_state(b_modes))
         lhs_sym = sym.scalar_product(s_a, s_b, ov) * math.factorial(n)
-        assert lhs_sym == pytest.approx(sym.permanent(m), abs=1e-10)
+        assert lhs_sym == pytest.approx(perm, abs=1e-10)
+    assert calls == []
 
 
 # -- Feynman amplitudes -----------------------------------------------------------
@@ -1356,6 +1551,44 @@ def test_feynman_equivalence_random():
             f = sym.feynman_amplitude(b, a, sign, ov)
             f_prime = both_sides_amplitude(b, a, sign, ov)
             assert abs(f - f_prime) <= 1e-12
+
+
+def test_feynman_amplitude_matches_term_pair_sum(monkeypatch):
+    # <b + sign P b, a> term by term, under a plain callable overlap whose
+    # (i, j) and (j, i) entries are unrelated; b + sign P b is exactly
+    # (anti)symmetric, so the orbit route takes the products of distinct
+    # modes
+    rng = np.random.default_rng(29)
+    calls = count_route_calls(monkeypatch)
+    o = overlap_table(4, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    routed = {1: 0, -1: 0}
+    pairs = [((0, 0), (1, 2)), ((1, 2), (3, 3)), ((2, 2), (2, 2)), ((3, 1), (1, 3))]
+    pairs += [tuple(tuple(int(m) for m in rng.integers(0, 4, 2)) for _ in range(2))
+              for _ in range(40)]
+    for b_modes, a_modes in pairs:
+        cb, ca = (complex(*rng.normal(size=2)) for _ in range(2))
+        b, a = sym.product_state(b_modes, cb), sym.product_state(a_modes, ca)
+        for sign in (1, -1):
+            want = cb.conjugate() * ca * (
+                o[b_modes[0], a_modes[0]] * o[b_modes[1], a_modes[1]]
+                + sign * o[b_modes[1], a_modes[0]] * o[b_modes[0], a_modes[1]])
+            del calls[:]
+            got = sym.feynman_amplitude(b, a, sign, ov)
+            assert abs(got - want) <= 1e-12 * abs(cb * ca) * np.abs(o).max() ** 2
+            routed[sign] += bool(calls)
+    # a sum over term pairs: with the diagonal term in a, both routes
+    b = sym.add(sym.product_state((0, 1), 0.5 - 1j), sym.product_state((2, 2), 1.5j))
+    a = sym.add(sym.product_state((1, 1), -0.25), sym.product_state((3, 0), 2.0 + 0.5j))
+    for sign in (1, -1):
+        want = 0j
+        for tb in b.terms:
+            for ta in a.terms:
+                (b0, b1), (a0, a1) = tb.modes, ta.modes
+                want += tb.coeff.conjugate() * ta.coeff * (
+                    o[b0, a0] * o[b1, a1] + sign * o[b1, a0] * o[b0, a1])
+        assert sym.feynman_amplitude(b, a, sign, ov) == pytest.approx(want, abs=1e-12)
+    assert min(routed.values()) >= 20, routed
 
 
 def test_feynman_orthonormal_product():
