@@ -15,7 +15,11 @@ state (``symmetrize``) is written as ``json.dumps`` writes it, joined from
 a few pieces per term: the coefficient parts with their JSON text, then
 the mode ids one pair of slots a piece, from a table of the d^2 id-pair
 texts when d^2 (d distinct ids) is no more than the terms, else one slot
-a piece.
+a piece.  Each distinct coefficient and id is formatted once.  For a
+one-orbit projection, ``symmetry`` hands over the distinct values and
+each term's index into them from the orbits the projector kept, so the
+output is not ranked again; any other state's come from ``np.unique``.
+The document and its newline are one string, written once.
 """
 
 from __future__ import annotations
@@ -109,9 +113,14 @@ def _texts(values: np.ndarray, fmt: str, most: int | None = None):
         if np.count_nonzero(ordered[1:] != ordered[:-1]) >= most:
             return None
     distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = ((fmt + "\0") * distinct.size
-             % tuple(distinct.view(flat.dtype).tolist())).split("\0")[:-1]
-    return np.array(texts, dtype=object)[inverse].reshape(values.shape)
+    return _formatted(distinct.view(flat.dtype), fmt)[inverse].reshape(values.shape)
+
+
+def _formatted(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each value of a 1-D array, as an object array of
+    ``str``, formatted in one string (values as Python scalars)."""
+    return np.array(((fmt + "\0") * values.size
+                     % tuple(values.tolist())).split("\0")[:-1], dtype=object)
 
 
 def _emit_table(out, tables, fmt: str):
@@ -197,13 +206,18 @@ def _state_from_json(raw) -> symmetry.NParticleState:
 def _state_text(state: symmetry.NParticleState) -> str:
     """The state as ``json.dumps(..., indent=2, sort_keys=True)`` writes
     the object ``{"schema", "n", "terms": [{"coeff": [re, im], "modes"}]}``,
-    filled in from the state's arrays by one join.
+    and a newline, as ``print`` ends it: filled in from the state's arrays
+    by one join, so that the whole output is one string, written once.
 
     Each term is two coefficient pieces, each value with the JSON text
     around it folded in, then its mode ids.  Each distinct value is
-    formatted once, as json writes it: coefficient parts by ``_texts``
-    through ``%r`` (float.__repr__; a state's coefficients are finite, and
-    -0.0 keeps its sign) and mode ids through ``str``.  With d distinct
+    formatted once, as json writes it: coefficient parts through ``%r``
+    (float.__repr__; a state's coefficients are finite, and -0.0 keeps its
+    sign) and mode ids through ``str``.  A one-orbit projection's distinct
+    coefficients (one, or two by the arrangements' parity) and ids, and
+    each term's indices into them, are read from the orbits the projector
+    kept (``symmetry._orbit_coefficients`` and ``symmetry._mode_indices``);
+    any other state's coefficients go through ``_texts``.  With d distinct
     ids and d^2 no more than the terms, the ids go in one piece per pair
     of slots, gathered from a table of the d^2 id-pair texts (a last odd
     slot alone); otherwise in one piece per slot, so the table never
@@ -213,15 +227,20 @@ def _state_text(state: symmetry.NParticleState) -> str:
     count, n = state.modes.shape
     head = f'{{\n  "n": {state.n},\n  "schema": {_STATE_SCHEMA},\n  "terms": ['
     if not count:
-        return head + "]\n}"
+        return head + "]\n}\n"
     comma, close = ",\n        ", "\n      ]\n    },"
-    pieces = [_texts(state.coeffs.real, '\n    {\n      "coeff": [\n        %r' + comma),
-              _texts(state.coeffs.imag, '%r\n      ],\n      "modes": '
-                     + ("[\n        " if n else "[]\n    },"))]
+    real = '\n    {\n      "coeff": [\n        %r' + comma
+    imag = '%r\n      ],\n      "modes": ' + ("[\n        " if n else "[]\n    },")
+    orbit = symmetry._orbit_coefficients(state)
+    if orbit is None:
+        pieces = [_texts(state.coeffs.real, real), _texts(state.coeffs.imag, imag)]
+    else:
+        # each value's two parts as one piece (+ joins object arrays' str)
+        values, index = orbit
+        pieces = [(_formatted(values.real, real) + _formatted(values.imag, imag))[index]]
     if n:
-        distinct, ranks = np.unique(state.modes, return_inverse=True)
-        ranks = ranks.reshape(count, n)
-        texts = list(map(str, distinct.tolist()))
+        distinct, ranks = symmetry._mode_indices(state)
+        texts = list(map(str, distinct))
         units, keys, last, last_key = texts, ranks[:, :-1], texts, ranks[:, -1]
         d = len(texts)
         if n > 1 and d * d <= count:
@@ -232,8 +251,11 @@ def _state_text(state: symmetry.NParticleState) -> str:
         pieces += [np.array([u + comma for u in units], dtype=object)[keys],
                    np.array([u + close for u in last], dtype=object)[last_key]]
     pieces = np.column_stack(pieces)
-    pieces[-1, -1] = pieces[-1, -1][:-1] + "\n  ]\n}"  # no comma after the last term
-    return head + "".join(pieces.ravel().tolist())
+    pieces[-1, -1] = pieces[-1, -1][:-1] + "\n  ]\n}\n"  # no comma after the last term
+    # the head joins as the first piece: prefixed to the joined text, it
+    # would copy the whole output once more
+    pieces[0, 0] = head + pieces[0, 0]
+    return "".join(pieces.ravel().tolist())
 
 
 def _cmd_symmetrize(args, cfg: Config, out) -> int:
@@ -252,7 +274,7 @@ def _cmd_symmetrize(args, cfg: Config, out) -> int:
     state = _state_from_json(raw)
     projected = (symmetry.antisymmetrize(state) if args.anti
                  else symmetry.symmetrize(state))
-    print(_state_text(projected), file=out)
+    out.write(_state_text(projected))
     return 0
 
 

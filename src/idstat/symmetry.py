@@ -23,14 +23,12 @@ into one output-sized buffer.  The orbit grouping (each row sorted, each
 row's orbit, the sign of the permutation that sorts it) is shared by the
 projectors and ``scalar_product``.
 
-``scalar_product`` never loops over term pairs.  When either state lies
-exactly in a projector's range (each orbit holds every arrangement of
-its modes, all with one coefficient, or for the antisymmetrizer with one
-coefficient times the arrangement's sign; exact comparisons on the
-arrays decide), it sums over pairs of orbits instead: each pair adds one
-permanent or determinant of the single-particle overlaps of the two
-orbits' modes (Loewdin 1955), where the term-pair sum would add up to
-n! x n! products.  Every other state pair, or one for which the orbit
+``scalar_product`` never loops over term pairs.  When either state was
+made by a projector, which keeps on its output the orbits it expanded
+and their coefficients, it sums over pairs of orbits instead: each pair
+adds one permanent or determinant of the single-particle overlaps of the
+two orbits' modes (Loewdin 1955), where the term-pair sum would add up
+to n! x n! products.  Every other state pair, or one for which the orbit
 pairs would cost more than the term pairs they replace, meets in the
 middle of the slots: a's coefficients form one sparse head-by-tail
 matrix, built once per call, and b's terms are taken in runs sized by
@@ -58,7 +56,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,11 +193,17 @@ class NParticleState:
 
     ``terms`` is the tuple of ProductTerm that the arrays describe.  It is
     built on first access and cached, so code that only passes states
-    between the functions here never pays for it.  repr, equality and
-    hashing are those of the (n, terms) record.
+    between the functions here never pays for it.  repr, equality,
+    hashing and pickling are those of the (n, terms) record.
+
+    A state that a projector returns also keeps, in a private slot, the
+    orbits it was built from (see _OrbitForm), so that ``scalar_product``
+    and the CLI's state writer read them instead of recovering them from
+    the rows.  That form is a cache outside equality and hashing: every
+    other way of making a state, unpickling included, leaves it empty.
     """
 
-    __slots__ = ("n", "modes", "coeffs", "_terms")
+    __slots__ = ("n", "modes", "coeffs", "_terms", "_form")
 
     def __init__(self, n: int, terms: Sequence[ProductTerm]):
         terms = tuple(terms)
@@ -248,12 +252,34 @@ class NParticleState:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _OrbitForm(NamedTuple):
+    """The orbits a projector's output was built from.
+
+    ``orbits`` are the kept orbits as sorted rows of mode ids, in
+    lexicographic order; ``coeffs`` each orbit's coefficient on its sorted
+    arrangement, and ``sizes`` its count M of arrangements (floats);
+    ``signed`` whether the antisymmetrizer made it, so that each
+    arrangement's coefficient is that one times the arrangement's sign.
+    A one-orbit output also keeps the orbit's sorted distinct ``ids`` and
+    its ``_arrangements`` ``table``, which is the output's rows as ranks
+    into those ids.
+    """
+
+    orbits: np.ndarray
+    coeffs: np.ndarray
+    sizes: np.ndarray
+    signed: bool
+    ids: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+
 def _fill(state: NParticleState, n: int, modes: np.ndarray, coeffs: np.ndarray,
-          terms: tuple[ProductTerm, ...] | None) -> NParticleState:
+          terms: tuple[ProductTerm, ...] | None,
+          form: _OrbitForm | None = None) -> NParticleState:
     modes.flags.writeable = False
     coeffs.flags.writeable = False
     for name, value in (("n", n), ("modes", modes), ("coeffs", coeffs),
-                        ("_terms", terms)):
+                        ("_terms", terms), ("_form", form)):
         object.__setattr__(state, name, value)
     return state
 
@@ -557,16 +583,19 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
             blocks.append((_arrangements(runs), first_slots, members))
     if not blocks:
         return zero_state(n)
+    form = _OrbitForm(orbits[kept], signed_weights[kept, 0], sizes[kept], signed)
     if len(blocks) == 1 and len(blocks[0][2]) == 1:
         # One orbit: its arrangements are already in order.  Slot j of
         # arrangement r holds the id at the start of run table[r, j],
         # gathered in place into the buffer that becomes the output.
         table, first_slots, members = blocks[0]
+        distinct = orbits[members[0], first_slots]
         index = np.empty(table.shape, dtype=np.intp)
         index[...] = table
-        np.take(orbits[members[0], first_slots], index, out=index, mode="clip")
+        np.take(distinct, index, out=index, mode="clip")
         return _fill(object.__new__(NParticleState), n, index,
-                     coefficients(members, len(table)), None)
+                     coefficients(members, len(table)), None,
+                     form._replace(ids=distinct, table=table))
     # The orbits are disjoint sets of rows.  Their order is taken from the
     # rank rows first (each orbit's rows are in order already, which a
     # stable sort exploits); then each block of orbits is gathered and
@@ -592,7 +621,7 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
             out_rows[at] = block.view(row).ravel()
             out_coeffs[at] = coefficients(members[i:i + step], len(table))
             start += len(at)
-    return _fill(object.__new__(NParticleState), n, out_modes, out_coeffs, None)
+    return _fill(object.__new__(NParticleState), n, out_modes, out_coeffs, None, form)
 
 
 def _run_starts(orbits: np.ndarray) -> np.ndarray:
@@ -686,19 +715,22 @@ def scalar_product(a: NParticleState, b: NParticleState,
 
     (or det(G) with no division), where x and y are A on P's side and
     B on Q's, and m_k are those of P's orbit.  An orbit of Q with a
-    repeated mode has det(G) = 0 and is skipped.  The test is exact: an
-    O(T n) check that every slot's ids, and their squares, sum alike
-    turns most other states away first; then P's rows must be distinct
-    in canonical order, each orbit's row count times prod(m_k!) must be
-    n!, and the coefficients (signed, for the antisymmetrizer) must be
-    equal within each orbit.  a is tried first, then b.  The route is
-    kept only when n <= PERMANENT_MAX_N and its cost, in term pairs, is
-    at most that of the pairs it replaces: each of the K_P K_Q orbit
-    pairs counts its permanent's 2^(n-1) Glynn sign vectors (or an LU's
-    n^2/3 steps of n) plus _ORBIT_PAIR_CALL for the call, against
-    T_a T_b plus one call.  The route groups rows by their ids less the
-    least id (a sort of the ids only when they span 2^31 values or
-    more), and ov is called only once it is taken, for the orbits' modes.
+    repeated mode has det(G) = 0 and is skipped.  Which side is projected
+    is known, not tested: symmetrize and antisymmetrize record on their
+    output the orbits they expanded, each orbit's A and which projector
+    made it (the state's private orbit form).  A state made any other
+    way carries none, even one equal to a projection term for term, and
+    takes the term-pair route unless the other side carries a form.  a's
+    form is read first, then b's.  When Q carries a form from the same
+    projector, its orbit sums are B = M A (n! A for the antisymmetrizer)
+    and nothing is merged; otherwise Q's rows are merged by orbit,
+    grouped by their ids less the least id (a sort of the ids only when
+    they span 2^31 values or more).  The route is kept only when
+    n <= PERMANENT_MAX_N and its cost, in term pairs, is at most that of
+    the pairs it replaces: each of the K_P K_Q orbit pairs counts its
+    permanent's 2^(n-1) Glynn sign vectors (or an LU's n^2/3 steps of n)
+    plus _ORBIT_PAIR_CALL for the call, against T_a T_b plus one call.
+    ov is called only once the route is taken, for the orbits' modes.
 
     Term-pair route, for every other pair.  The sum meets in the middle
     (Horowitz and Sahni 1974): each term splits at slot h = n // 2 into a
@@ -743,34 +775,39 @@ def scalar_product(a: NParticleState, b: NParticleState,
 def _orbit_sum(a: NParticleState, b: NParticleState,
                ov: OverlapProvider) -> complex | None:
     """<a, b> summed over orbit pairs (see scalar_product) when a or b
-    lies exactly in a projector's range and that sum is the cheaper one,
+    carries a projector's orbit form and that sum is the cheaper one,
     else None; ov is called only once the route is taken."""
     n = a.n
     if not 2 <= n <= PERMANENT_MAX_N:
         return None
-    for projected, s in enumerate((a, b)):
-        found = _balanced(s) and _projection(s)
-        if found:
-            break
-    else:
+    projected = 0 if a._form is not None else 1
+    form = (a, b)[projected]._form
+    if form is None:
         return None
-    orbits, coeffs, signed = found
+    signed = form.signed
     s = (b, a)[projected]
-    rows, base = _small_rows(s.modes)
-    first, sums, _ = _merge(np.sort(rows, axis=1), base,
-                            np.where(_odd(rows), -s.coeffs, s.coeffs) if signed
-                            else s.coeffs)
-    others = np.sort(s.modes[first], axis=1)
-    if signed:
-        # an orbit with a repeated mode has a determinant of 0
-        live = _run_starts(others).all(axis=1)
-        others, sums = others[live], sums[live]
+    if s._form is not None and s._form.signed == signed:
+        # each orbit holds its M arrangements with one coefficient w (times
+        # their signs), so its sum is M w
+        others, sums = s._form.orbits, s._form.coeffs * s._form.sizes
+    else:
+        rows, base = _small_rows(s.modes)
+        first, sums, _ = _merge(np.sort(rows, axis=1), base,
+                                np.where(_odd(rows), -s.coeffs, s.coeffs) if signed
+                                else s.coeffs)
+        others = np.sort(s.modes[first], axis=1)
+        if signed:
+            # an orbit with a repeated mode has a determinant of 0
+            live = _run_starts(others).all(axis=1)
+            others, sums = others[live], sums[live]
     pair_cost = (n * n // 3 if signed else 1 << (n - 1)) + _ORBIT_PAIR_CALL
-    if (len(orbits) * len(others) * pair_cost
+    if (len(form.orbits) * len(others) * pair_cost
             > len(a.coeffs) * len(b.coeffs) + _ORBIT_PAIR_CALL):
         return None
-    a_orbits, b_orbits, x, y = ((orbits, others, coeffs, sums) if projected == 0
-                                else (others, orbits, sums, coeffs))
+    # w / prod(m_k!) on the symmetrizer's side, with prod(m_k!) = n! / M
+    coeffs = form.coeffs if signed else form.coeffs * form.sizes / math.factorial(n)
+    a_orbits, b_orbits, x, y = ((form.orbits, others, coeffs, sums) if projected == 0
+                                else (others, form.orbits, sums, coeffs))
     # the overlaps of the orbits' modes, rows from a and columns from b,
     # and each orbit's modes as indices into them
     a_modes, b_modes = np.unique(a_orbits), np.unique(b_orbits)
@@ -798,57 +835,6 @@ def _small_rows(modes: np.ndarray) -> tuple[np.ndarray, int]:
         return modes - low, span
     ids, ranks = _ranked(modes)
     return ranks, len(ids)
-
-
-def _balanced(s: NParticleState) -> bool:
-    """Whether the mode ids, and their squares, add up alike in every slot,
-    as they do in a state that a projector maps to itself (each slot holds
-    the same ids as often): an O(T n) test that most other states fail.
-    (The sums may wrap; equal sums still wrap alike.)"""
-    modes = s.modes
-    return (len(set(np.einsum("ij->j", modes).tolist())) == 1
-            and len(set(np.einsum("ij,ij->j", modes, modes).tolist())) == 1)
-
-
-def _projection(s: NParticleState):
-    """(orbits as sorted rows of mode ids, coefficient per orbit over
-    prod m_k!, signed) when s lies exactly in the range of the
-    symmetrizer (signed False) or of the antisymmetrizer (signed True),
-    else None.
-
-    s's rows must be distinct, as the canonical order has them, and each
-    orbit must hold all of its n!/prod(m_k!) arrangements.  The
-    coefficient must then be equal on every row of an orbit, or, when no
-    orbit repeats a mode, equal once each is multiplied by the sign of
-    the permutation that sorts its row.  All tests are exact: the orbit
-    sums equal the term-pair sums only then.
-    """
-    rows, base = _small_rows(s.modes)
-    keys = _row_keys(rows, base)
-    if not (keys[1:] > keys[:-1]).all():
-        return None
-    ordered = np.sort(rows, axis=1)
-    first, _, orbit = _merge(ordered, base, s.coeffs)
-    starts = _run_starts(ordered[first])
-    distinct = starts.all()
-    weights = 1
-    if not distinct:
-        # prod m_k!: slot j adds a factor of its place in its run, 1, 2, ...
-        slot = np.arange(s.n)
-        weights = (slot + 1 - np.maximum.accumulate(np.where(starts, slot, 0), axis=1)
-                   ).prod(axis=1)
-    if not (np.bincount(orbit) * weights == math.factorial(s.n)).all():
-        return None
-    orbits = np.sort(s.modes[first], axis=1)
-    coeffs = s.coeffs
-    if np.array_equal(coeffs[first][orbit], coeffs):
-        return orbits, coeffs[first] / weights, False
-    if not distinct:
-        return None
-    coeffs = np.where(_odd(rows), -coeffs, coeffs)
-    if np.array_equal(coeffs[first][orbit], coeffs):
-        return orbits, coeffs[first], True
-    return None
 
 
 def _term_pair_sum(a: NParticleState, a_slots: np.ndarray, b: NParticleState,
@@ -952,9 +938,26 @@ def _slot_products(table: np.ndarray, a_rows: np.ndarray,
 
 
 def _mode_indices(s: NParticleState) -> tuple[list[int], np.ndarray]:
-    """Distinct modes of s, and each term's slots as indices into them."""
+    """Distinct modes of s in ascending order, and each term's slots as
+    indices into them; a one-orbit projection's are read from its form."""
+    form = s._form
+    if form is not None and form.table is not None:
+        return form.ids.tolist(), form.table.astype(np.intp)
     distinct, index = np.unique(s.modes, return_inverse=True)
     return distinct.tolist(), index.reshape(s.modes.shape)
+
+
+def _orbit_coefficients(s: NParticleState) -> tuple[np.ndarray, np.ndarray] | None:
+    """A one-orbit projection's distinct coefficients and each term's index
+    into them, else None.  The symmetrizer gives every arrangement one
+    value; the antisymmetrizer gives the even arrangements the first of
+    two and the odd ones the second, as ``_parities`` orders them."""
+    form = s._form
+    if form is None or form.table is None:
+        return None
+    if form.signed:
+        return s.coeffs[:2], _parities(s.n).astype(np.intp)
+    return s.coeffs[:1], np.zeros(len(s.coeffs), dtype=np.intp)
 
 
 def _check_normalized(alpha: complex, beta: complex) -> None:
@@ -1089,8 +1092,9 @@ def feynman_amplitude(b: NParticleState, a: NParticleState, sign: int,
         raise SizeMismatch("feynman_amplitude is defined for two-particle states")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    b_combined = add(b, scale(permute_labels(b, (1, 0)), sign))
-    return scalar_product(b_combined, a, ov)
+    # the projector of 2b is b + sign P12 b, and keeps its orbit form
+    project = symmetrize if sign == 1 else antisymmetrize
+    return scalar_product(project(scale(b, 2)), a, ov)
 
 
 class KroneckerOverlap:

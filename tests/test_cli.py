@@ -510,7 +510,7 @@ def test_state_text_keeps_negative_zero(raw):
     state = symmetry.NParticleState(raw["n"], tuple(
         symmetry.ProductTerm(complex(*t["coeff"]), t["modes"]) for t in raw["terms"]))
     assert cli._state_text(state) == json.dumps(
-        _state_to_json(state), indent=2, sort_keys=True)
+        _state_to_json(state), indent=2, sort_keys=True) + "\n"
 
 
 table_floats = st.one_of(

@@ -1247,17 +1247,17 @@ def test_orbit_route_is_kept_only_where_it_is_cheaper(monkeypatch):
     assert len(one_term.coeffs) == 1
     other = sym.product_state(rng.integers(0, 12, 12).tolist(), 0.5 - 1j)
     cases = [(one_term, other), (other, one_term)]
-    # States that pass the O(T n) test on the slot sums (of the ids and of
-    # their squares) but lie in no projector's range, each against the
+    # States built by hand, which carry no orbit form, each against the
     # arrangements of one orbit with random coefficients (one orbit pair,
-    # had either passed).
+    # had either been projected).
     def scrambled(modes):
         return sym._canonical(len(modes), [(complex(*rng.normal(size=2)), r)
                                            for r in set(itertools.permutations(modes))])
 
-    # every arrangement present, but one coefficient differs
+    # a projection copied term by term, and one of its coefficients changed
     for project in (sym.symmetrize, sym.antisymmetrize):
         s = project(sym.product_state([0, 1, 2, 4]))
+        cases.append((sym.NParticleState(4, s.terms), scrambled((0, 1, 3, 5))))
         coeffs = s.coeffs.copy()
         coeffs[5] *= 1 + 1e-12
         cases.append((sym.NParticleState(4, tuple(
@@ -1274,13 +1274,88 @@ def test_orbit_route_is_kept_only_where_it_is_cheaper(monkeypatch):
     # a repeated mode with signed coefficients: no antisymmetric state
     cases.append((sym._canonical(3, [(1.0, (0, 0, 1)), (-1.0, (0, 1, 0)), (1.0, (1, 0, 0))]),
                   scrambled((0, 1, 5))))
-    assert all(sym._balanced(x) for x, _ in cases[2:])
     monkeypatch.setattr(sym, "permanent", refuse)
     monkeypatch.setattr(sym, "determinant", refuse)
     for x, y in cases:
         for first, second in ((x, y), (y, x)):
             want, mass = term_pair_sum(first, second, o)
             assert abs(sym.scalar_product(first, second, ov) - want) <= 1e-12 * mass
+
+
+# -- orbit forms --------------------------------------------------------------------
+
+
+def projected_states(rng) -> list:
+    """Symmetrized and antisymmetrized states: products of distinct modes,
+    a product with repeated modes, states of several orbits, one whose
+    second orbit is dropped (its sum, 3e-14, is kept, but not its
+    coefficient, 5e-15), and n = 0 and 1."""
+    made = []
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        made += [project(sym.product_state((4, 0, 3, 1), 0.5 - 2j)),
+                 project(sym.product_state((2, 5, 2, 0, 5), 1.25j)),
+                 project(random_state(4, 5, 3, rng)),
+                 project(sym._canonical(3, [(1.0, (0, 1, 2)), (-0.5j, (2, 3, 4)),
+                                            (2.0, (1, 1, 4))])),
+                 project(sym._canonical(3, [(1.0, (0, 1, 2)), (3e-14, (5, 6, 7))])),
+                 project(sym.product_state((), -3.0)),
+                 project(sym.product_state((7,), 0.25 + 1j)),
+                 project(random_state(1, 4, 3, rng))]
+    return [s for s in made if not s.is_zero]
+
+
+def test_orbit_form_describes_the_projection():
+    # each orbit's sorted arrangement carries the recorded coefficient, and
+    # the orbit holds as many rows as its recorded size; a one-orbit
+    # state's ids gathered by its table are its rows
+    for s in projected_states(np.random.default_rng(31)):
+        form = s._form
+        if s.n == 0:
+            assert form is None
+            continue
+        orbits = np.sort(s.modes, axis=1)
+        assert np.array_equal(form.orbits, np.unique(orbits, axis=0))
+        for orbit, coeff, size in zip(form.orbits, form.coeffs, form.sizes):
+            rows = (orbits == orbit).all(axis=1)
+            assert rows.sum() == size
+            assert s.coeffs[(s.modes == orbit).all(axis=1)].tolist() == [coeff]
+        assert (form.table is not None) == (len(form.orbits) == 1)
+        if form.table is not None:
+            assert np.array_equal(form.ids[form.table], s.modes)
+
+
+def test_projected_state_is_its_term_record():
+    # equality, hashing and pickling ignore the orbit form, which neither
+    # a hand-built nor an unpickled copy carries; both copies take the
+    # term-pair route where the projection may take the orbit route, and
+    # write the same CLI text
+    rng = np.random.default_rng(32)
+    o = overlap_table(8, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    for s in projected_states(rng):
+        hand = sym.NParticleState(s.n, s.terms)
+        thawed = pickle.loads(pickle.dumps(s))
+        assert hand == s == thawed and hash(hand) == hash(s) == hash(thawed)
+        assert pickle.dumps(s) == pickle.dumps(hand)
+        assert hand._form is None and thawed._form is None
+        others = [s, hand, random_state(s.n, 8, 2, rng)]
+        for copy in (hand, thawed):
+            for other in others:
+                for x, y in ((s, other), (other, s)):
+                    want, mass = term_pair_sum(x, y, o)
+                    got = sym.scalar_product(x, y, ov)
+                    assert abs(got - want) <= 1e-12 * mass
+                    x, y = (copy if x is s else x), (copy if y is s else y)
+                    assert abs(sym.scalar_product(x, y, ov) - got) <= 1e-12 * mass
+        assert cli._state_text(s) == cli._state_text(hand)
+
+
+def test_state_operations_drop_the_orbit_form():
+    for s in projected_states(np.random.default_rng(33)):
+        perm = tuple(range(s.n))[::-1]
+        for made in (sym.add(s, s), sym.scale(s, 1.0), sym.permute_labels(s, perm),
+                     sym.permute_parameters(s, perm), sym.NParticleState(s.n, s.terms)):
+            assert made._form is None
 
 
 # -- exchange superpositions -----------------------------------------------------
@@ -1555,9 +1630,9 @@ def test_feynman_equivalence_random():
 
 def test_feynman_amplitude_matches_term_pair_sum(monkeypatch):
     # <b + sign P b, a> term by term, under a plain callable overlap whose
-    # (i, j) and (j, i) entries are unrelated; b + sign P b is exactly
-    # (anti)symmetric, so the orbit route takes the products of distinct
-    # modes
+    # (i, j) and (j, i) entries are unrelated; b + sign P b is formed by a
+    # projector, whose orbit form the orbit route reads for the products
+    # of distinct modes
     rng = np.random.default_rng(29)
     calls = count_route_calls(monkeypatch)
     o = overlap_table(4, rng, hermitian=False)
