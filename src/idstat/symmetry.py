@@ -28,12 +28,12 @@ made by a projector, which keeps on its output the orbits it expanded
 and their coefficients, it sums over pairs of orbits instead: each pair
 adds one permanent or determinant of the single-particle overlaps of the
 two orbits' modes (Loewdin 1955), where the term-pair sum would add up
-to n! x n! products.  Every other state pair, or one for which the orbit
-pairs would cost more than the term pairs they replace, meets in the
-middle of the slots: a's coefficients form one sparse head-by-tail
-matrix, built once per call, and b's terms are taken in runs sized by
-the tables each run forms.  Both routes read one table of overlaps
-ov(a mode, b mode), so the overlap need not be Hermitian.
+to n! x n! products; one kernel call evaluates each block of pairs.
+Every other state pair, or one whose orbit pairs times 2^(n-1) (n^2 // 3
+if signed) outnumber its term pairs, meets in the middle of the slots:
+a's coefficients form one sparse head-by-tail matrix per call, and
+b's terms are taken in runs sized by the tables they form.  Both routes
+read one table of overlaps ov(a mode, b mode); ov need not be Hermitian.
 ``state.terms`` is built from the arrays on first read.
 
 On this representation the module provides slot (label) and parameter
@@ -116,10 +116,6 @@ _KEY_LIMIT = 1 << 62
 # Entries in each temporary of scalar_product (complex), and in each
 # block that the projectors write and the parity helper compares.
 _TERM_PAIR_BLOCK = 1 << 16
-
-# What one permanent or determinant call of scalar_product's orbit route
-# costs beyond its arithmetic, in term pairs of the meet in the middle.
-_ORBIT_PAIR_CALL = 4096
 
 OverlapProvider = Callable[[int, int], complex]
 
@@ -726,11 +722,11 @@ def scalar_product(a: NParticleState, b: NParticleState,
     and nothing is merged; otherwise Q's rows are merged by orbit,
     grouped by their ids less the least id (a sort of the ids only when
     they span 2^31 values or more).  The route is kept only when
-    n <= PERMANENT_MAX_N and its cost, in term pairs, is at most that of
-    the pairs it replaces: each of the K_P K_Q orbit pairs counts its
-    permanent's 2^(n-1) Glynn sign vectors (or an LU's n^2/3 steps of n)
-    plus _ORBIT_PAIR_CALL for the call, against T_a T_b plus one call.
-    ov is called only once the route is taken, for the orbits' modes.
+    n <= PERMANENT_MAX_N and K_P K_Q w <= T_a T_b, w = 2^(n-1) Glynn sign
+    vectors (n^2 // 3 LU steps of n if signed); one call of the stacked
+    kernel (see permanent), or of np.linalg.det, evaluates each block of
+    orbit pairs.  ov is called only once the route is taken, for the
+    orbits' modes.
 
     Term-pair route, for every other pair.  The sum meets in the middle
     (Horowitz and Sahni 1974): each term splits at slot h = n // 2 into a
@@ -800,9 +796,8 @@ def _orbit_sum(a: NParticleState, b: NParticleState,
             # an orbit with a repeated mode has a determinant of 0
             live = _run_starts(others).all(axis=1)
             others, sums = others[live], sums[live]
-    pair_cost = (n * n // 3 if signed else 1 << (n - 1)) + _ORBIT_PAIR_CALL
-    if (len(form.orbits) * len(others) * pair_cost
-            > len(a.coeffs) * len(b.coeffs) + _ORBIT_PAIR_CALL):
+    pairs = len(form.orbits) * len(others)
+    if pairs * (n * n // 3 if signed else 1 << (n - 1)) > len(a.coeffs) * len(b.coeffs):
         return None
     # w / prod(m_k!) on the symmetrizer's side, with prod(m_k!) = n! / M
     coeffs = form.coeffs if signed else form.coeffs * form.sizes / math.factorial(n)
@@ -813,15 +808,15 @@ def _orbit_sum(a: NParticleState, b: NParticleState,
     a_modes, b_modes = np.unique(a_orbits), np.unique(b_orbits)
     table = _overlap_table(a_modes.tolist(), b_modes.tolist(), ov)
     a_rows, b_rows = np.searchsorted(a_modes, a_orbits), np.searchsorted(b_modes, b_orbits)
-    evaluate = determinant if signed else permanent
-    step = max(1, _TERM_PAIR_BLOCK // (n * n))
+    # one kernel call per block of pairs whose row-sum table fits _TERM_PAIR_BLOCK
+    evaluate = np.linalg.det if signed else _glynn
+    step = max(1, _TERM_PAIR_BLOCK // (n << min(n - 1, _PERMANENT_LOW_COLUMNS)))
     total = 0j
-    for row, xk in zip(a_rows, np.conj(x).tolist()):
-        for start in range(0, len(b_rows), step):
-            # g[l, s, t] = ov(a mode s of this orbit, b mode t of orbit l)
-            g = table[row[:, None], b_rows[start:start + step, None, :]]
-            values = np.array([evaluate(m) for m in g])
-            total += xk * complex(values @ y[start:start + step])
+    for start in range(0, pairs, step):
+        i, l = np.divmod(np.arange(start, min(start + step, pairs)), len(b_rows))
+        # g[p, s, t] = ov(a mode s of pair p's a orbit, b mode t of its b orbit)
+        g = table[a_rows[i, :, None], b_rows[l, None, :]]
+        total += complex((np.conj(x[i]) * y[l]) @ evaluate(g))
     return total
 
 
@@ -1027,57 +1022,60 @@ def permanent(m) -> complex:
 
     perm(M) = 2^-(n-1) sum over d in {+1, -1}^n with d_0 = +1 of
     (prod_j d_j) prod_i sum_j d_j M[i, j] (Glynn 2010): half of Ryser's
-    2^n terms.  The row sums for every sign choice of columns 1..k,
-    k = min(n - 1, 10), are tabulated once by doubling (each new sign
-    subtracts twice a column) into one (n, 2^k) table; the other n - 1 - k
-    signs are walked in Gray-code order (Nijenhuis-Wilf), and each step
-    adds the flipped column's move (-2 or +2 times it, both made before
-    the walk) to the table in place, then takes one product over rows
-    into a reused buffer and one dot with the real signs.  Guarded to
-    n <= 20.
+    2^n terms.  One kernel evaluates a (B, n, n) stack; this is its batch
+    of one.  The row sums for every sign choice of columns 1..k, k =
+    min(n - 1, 10), are tabulated by doubling (each new sign subtracts
+    twice a column) into one (n, B, 2^k) table; the other n - 1 - k signs
+    are walked in Gray-code order (Nijenhuis-Wilf).  Each step adds the
+    flipped column's move (+-2 times it) to the table in place and dots
+    the product over rows with the low signs, negated by its sign; the
+    steps' sums are added in walk order at the end.  Guarded to n <= 20.
 
     Accuracy, measured on the scrambled J_n - I, J_n and block-triangular
     references (benchmarks/workloads.known_permanent) at n = 12..18, seeds
-    0..19: the largest miss was 8.0e-15 of perm(|M|) (5.4e-15 with the
-    high signs summed apart from the table; Ryser's sum: 4.7e-12).  On
-    Gram matrices of 20 Gaussian packets Im/Re was 4e-16 to 2e-14
-    (Ryser's sum: 3e-10 to 5e-9).
+    0..19: the largest miss was 8.0e-15 of perm(|M|) (Ryser's sum:
+    4.7e-12).  On Gram matrices of 20 Gaussian packets Im/Re was 4e-16 to
+    2e-14 (Ryser's sum: 3e-10 to 5e-9).
     """
     m = _check_square(m)
-    n = m.shape[0]
-    if n > PERMANENT_MAX_N:
-        raise TooLarge(f"permanent guarded to n <= {PERMANENT_MAX_N}, got {n}")
+    if m.shape[0] > PERMANENT_MAX_N:
+        raise TooLarge(f"permanent guarded to n <= {PERMANENT_MAX_N}, got {m.shape[0]}")
+    return complex(_glynn(m[None])[0])
+
+
+def _glynn(stack: np.ndarray) -> np.ndarray:
+    """The permanents of a (B, n, n) complex stack (see permanent)."""
+    count, n = stack.shape[:2]
     if n == 0:
-        return 1 + 0j
+        return np.ones(count, dtype=complex)
     k = min(n - 1, _PERMANENT_LOW_COLUMNS)
-    row_sums = np.empty((n, 1 << k), dtype=complex)
-    row_sums[:, 0] = m.sum(axis=1)
+    columns = stack.transpose(2, 1, 0)[..., None]  # columns[c][i, b, 0] = M_b[i, c]
+    row_sums = np.empty((n, count, 1 << k), dtype=complex)
+    row_sums[..., 0] = stack.sum(axis=2).T
     low_signs = np.ones(1 << k)
     for j in range(k):
         half = 1 << j
-        row_sums[:, half:2 * half] = row_sums[:, :half] - 2 * m[:, j + 1:j + 2]
+        row_sums[..., half:2 * half] = row_sums[..., :half] - 2 * columns[j + 1]
         low_signs[half:2 * half] = -low_signs[:half]
-    # each walked column's two moves, back to sign +1 and to -1, indexed
-    # by the column's new Gray-code bit
-    moves = [(2 * m[:, c:c + 1], -2 * m[:, c:c + 1]) for c in range(k + 1, n)]
+    signs = np.array([low_signs, -low_signs], dtype=complex)  # by a step's sign bit
+    # each walked column's moves back to sign +1 and to -1, by its new bit
+    moves = [(2 * columns[c], -2 * columns[c]) for c in range(k + 1, n)]
     products = np.multiply.reduce(row_sums, axis=0)
-    total = low_signs @ products
+    sums = np.empty((1 << (n - 1 - k), count), dtype=complex)
+    np.dot(products, signs[0], out=sums[0])
     gray = 0
-    for step in range(1, 1 << (n - 1 - k)):
+    for step in range(1, len(sums)):
         j = (step & -step).bit_length() - 1
         gray ^= 1 << j
         row_sums += moves[j][gray >> j & 1]
         np.multiply.reduce(row_sums, axis=0, out=products)
-        total += (-1) ** gray.bit_count() * (low_signs @ products)
-    return complex(total / (1 << (n - 1)))
+        np.dot(products, signs[gray.bit_count() & 1], out=sums[step])
+    return np.add.accumulate(sums, out=sums)[-1] / (1 << (n - 1))
 
 
 def determinant(m) -> complex:
     """Determinant via LAPACK's partial-pivot LU factorization."""
-    m = _check_square(m)
-    if m.shape[0] == 0:
-        return 1.0 + 0j
-    return complex(np.linalg.det(m))
+    return complex(np.linalg.det(_check_square(m)))
 
 
 def feynman_amplitude(b: NParticleState, a: NParticleState, sign: int,
@@ -1116,6 +1114,8 @@ class MatrixOverlap:
         self.matrix = m
 
     def __call__(self, i: int, j: int) -> complex:
+        if not (0 <= i < len(self.matrix) and 0 <= j < len(self.matrix)):
+            raise IndexError(f"mode ids ({i}, {j}) outside 0..{len(self.matrix) - 1}")
         return complex(self.matrix[i, j])
 
 

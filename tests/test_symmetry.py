@@ -1140,13 +1140,21 @@ def term_pair_sum(a, b, o: np.ndarray) -> tuple[complex, float]:
     return complex(terms.sum()), float(np.abs(terms).sum())
 
 
+def watch_route_kernels(monkeypatch, record) -> None:
+    """Have each call of the orbit route's kernels, sym._glynn and
+    np.linalg.det, first call record("permanent" or "determinant", stack)."""
+    for owner, attr, name in ((sym, "_glynn", "permanent"), (np.linalg, "det", "determinant")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            lambda m, real=real, name=name: record(name, m) or real(m))
+
+
 def count_route_calls(monkeypatch) -> list:
-    """Record each permanent and determinant that scalar_product evaluates."""
+    """Record each permanent and determinant that scalar_product evaluates:
+    one entry per matrix of each stack the route's kernels are given."""
     calls = []
-    for name in ("permanent", "determinant"):
-        real = getattr(sym, name)
-        monkeypatch.setattr(sym, name,
-                            lambda m, real=real, name=name: calls.append(name) or real(m))
+    watch_route_kernels(monkeypatch, lambda name, m: calls.extend(
+        [name] * math.prod(np.shape(m)[:-2])))
     return calls
 
 
@@ -1235,7 +1243,7 @@ def test_orbit_route_keeps_the_permanent_guard():
 
 
 def test_orbit_route_is_kept_only_where_it_is_cheaper(monkeypatch):
-    def refuse(m):
+    def refuse(name, m):
         raise AssertionError("the term-pair route was expected")
 
     rng = np.random.default_rng(28)
@@ -1274,12 +1282,72 @@ def test_orbit_route_is_kept_only_where_it_is_cheaper(monkeypatch):
     # a repeated mode with signed coefficients: no antisymmetric state
     cases.append((sym._canonical(3, [(1.0, (0, 0, 1)), (-1.0, (0, 1, 0)), (1.0, (1, 0, 0))]),
                   scrambled((0, 1, 5))))
-    monkeypatch.setattr(sym, "permanent", refuse)
-    monkeypatch.setattr(sym, "determinant", refuse)
+    watch_route_kernels(monkeypatch, refuse)
     for x, y in cases:
         for first, second in ((x, y), (y, x)):
             want, mass = term_pair_sum(first, second, o)
             assert abs(sym.scalar_product(first, second, ov) - want) <= 1e-12 * mass
+
+
+@pytest.mark.parametrize("block", [sym._TERM_PAIR_BLOCK, 1920])
+def test_orbit_route_makes_one_kernel_call_per_block(block, monkeypatch):
+    # two states of eight orbits of six distinct modes (5760 rows each):
+    # 64 orbit pairs, all in one kernel call at the default budget, and in
+    # blocks of 1920 // (6 * 2^5) = 10 pairs at the small one; the value is
+    # the meet in the middle's over the same rows rebuilt without a form
+    rng = np.random.default_rng(31)
+    ov = random_unit_overlap(12, rng)
+    expected = [64] if block == sym._TERM_PAIR_BLOCK else [10] * 6 + [4]
+    monkeypatch.setattr(sym, "_TERM_PAIR_BLOCK", block)
+    calls = []  # the number of matrices in each kernel call
+    watch_route_kernels(monkeypatch, lambda name, m: calls.append(len(m)))
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        a, b = (project(sym._canonical(6, [
+            (complex(*rng.normal(size=2)), tuple(rng.choice(12, 6, replace=False).tolist()))
+            for _ in range(8)])) for _ in range(2))
+        assert len(a._form.orbits) == len(b._form.orbits) == 8
+        want = sym.scalar_product(sym.NParticleState(6, a.terms),
+                                  sym.NParticleState(6, b.terms), ov)
+        norms = math.sqrt(abs(sym.scalar_product(a, a, ov) * sym.scalar_product(b, b, ov)))
+        del calls[:]
+        got = sym.scalar_product(a, b, ov)
+        assert calls == expected
+        assert abs(got - want) <= 1e-12 * norms
+
+
+def test_glynn_matches_permanent_matrix_by_matrix():
+    # a stack against its matrices one at a time, at every n up to 13
+    rng = np.random.default_rng(32)
+    for n in range(14):
+        stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        values = sym._glynn(stack)
+        assert values.shape == (5,)
+        for m, value in zip(stack, values):
+            scale = sym.permanent(np.abs(m)).real
+            assert abs(value - sym.permanent(m)) <= 1e-15 * scale
+    assert (sym._glynn(np.zeros((3, 0, 0), dtype=complex)) == 1).all()
+
+
+def test_orbit_route_takes_a_projection_against_a_few_arrangements(monkeypatch):
+    # a projected 720-row n = 6 state against eight orbits holding one to
+    # four of their arrangements (no form): 8 orbit pairs of 2^5 (or 12)
+    # against at most 720 x 32 term pairs, so the orbit route is taken
+    rng = np.random.default_rng(33)
+    o = overlap_table(14, rng, hermitian=False)
+    ov = lambda i, j: complex(o[i, j])
+    few = sym._canonical(6, [
+        (complex(*rng.normal(size=2)), tuple(rng.permutation(orbit).tolist()))
+        for orbit in (rng.choice(14, 6, replace=False) for _ in range(8))
+        for _ in range(int(rng.integers(1, 5)))])
+    calls = count_route_calls(monkeypatch)
+    for project in (sym.symmetrize, sym.antisymmetrize):
+        projected = project(sym.product_state((0, 3, 5, 8, 11, 13), 0.5 - 1.5j))
+        assert len(projected.coeffs) == 720
+        for x, y in ((projected, few), (few, projected)):
+            del calls[:]
+            want, mass = term_pair_sum(x, y, o)
+            assert abs(sym.scalar_product(x, y, ov) - want) <= 1e-12 * mass
+            assert len(calls) == 8
 
 
 # -- orbit forms --------------------------------------------------------------------
@@ -1705,6 +1773,17 @@ def test_check_overlap_provider():
     bad.matrix = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
         sym.check_overlap_provider(bad, [0, 1])
+
+
+def test_matrix_overlap_refuses_ids_outside_its_size():
+    ov = sym.MatrixOverlap(np.eye(3))
+    assert ov(2, 2) == 1 and ov(0, 2) == 0
+    for i, j in ((-1, 2), (2, -1), (-3, 0), (3, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            ov(i, j)
+    with pytest.raises(IndexError):
+        sym.scalar_product(sym.symmetrize(sym.product_state([-1, 0])),
+                           sym.symmetrize(sym.product_state([2, 0])), ov)
 
 
 def test_zero_state_algebra():
