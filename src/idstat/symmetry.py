@@ -43,6 +43,13 @@ single-particle overlap, exchange-degeneracy superpositions and their
 interference values, and permanent/determinant overlaps of (anti)
 symmetrized products.
 
+``permanent`` runs Glynn's 2^(n-1)-term sum on each fully indecomposable
+block of its matrix, one kernel call per block size, and returns their
+product.  The blocks come from the zero pattern: modes in orthogonal
+sectors (distinct spin states, distinct orthonormal labels) give exact
+zeros, and with them a Gram matrix splits into one block per sector.  A
+pattern with no perfect matching gives exactly 0j.
+
 Modes are registered once in an append-only :class:`ModeRegistry` and
 referenced by integer id; anything hashable can be a mode (a WavePacket,
 a SpinorMode, an abstract orthonormal label).
@@ -1018,29 +1025,78 @@ def _check_square(m) -> np.ndarray:
 
 
 def permanent(m) -> complex:
-    """Permanent by Glynn's formula, summed in column blocks.
+    """Permanent by Glynn's formula, per fully indecomposable block.
+
+    A matrix with an exact zero among finite entries is split first.  A
+    maximum matching of its nonzero pattern (scipy's
+    linear_sum_assignment) either misses a row, and then every product of
+    the permanent holds a zero and the value is exactly 0j, or gives each
+    row i a column c(i) with M[i, c(i)] != 0.  Then row i leads to row r
+    when M[i, c(r)] != 0; the strong components of that graph, found from
+    its transitive closure by repeated squaring of a bool matrix, are the
+    fully indecomposable blocks M[C, c(C)], and perm(M) is the product of
+    their permanents (Frobenius-Koenig; Brualdi and Ryser 1991, ch. 4).
+    The blocks are evaluated one stack per block size.  A matrix with no
+    zero, or with a NaN or an infinity, is evaluated whole.
 
     perm(M) = 2^-(n-1) sum over d in {+1, -1}^n with d_0 = +1 of
     (prod_j d_j) prod_i sum_j d_j M[i, j] (Glynn 2010): half of Ryser's
-    2^n terms.  One kernel evaluates a (B, n, n) stack; this is its batch
-    of one.  The row sums for every sign choice of columns 1..k, k =
-    min(n - 1, 10), are tabulated by doubling (each new sign subtracts
-    twice a column) into one (n, B, 2^k) table; the other n - 1 - k signs
-    are walked in Gray-code order (Nijenhuis-Wilf).  Each step adds the
-    flipped column's move (+-2 times it) to the table in place and dots
-    the product over rows with the low signs, negated by its sign; the
-    steps' sums are added in walk order at the end.  Guarded to n <= 20.
+    2^n terms.  One kernel evaluates a (B, n, n) stack.  The row sums for
+    every sign choice of columns 1..k, k = min(n - 1, 10), are tabulated
+    by doubling (each new sign subtracts twice a column) into one
+    (n, B, 2^k) table; the other n - 1 - k signs are walked in Gray-code
+    order (Nijenhuis-Wilf).  Each step adds the flipped column's move
+    (+-2 times it) to the table in place and dots the product over rows
+    with the low signs, negated by its sign; the steps' sums are added in
+    walk order at the end.  Guarded to n <= 20, on the whole matrix.
 
     Accuracy, measured on the scrambled J_n - I, J_n and block-triangular
     references (benchmarks/workloads.known_permanent) at n = 12..18, seeds
-    0..19: the largest miss was 8.0e-15 of perm(|M|) (Ryser's sum:
-    4.7e-12).  On Gram matrices of 20 Gaussian packets Im/Re was 4e-16 to
-    2e-14 (Ryser's sum: 3e-10 to 5e-9).
+    0..19: the largest miss was 5.0e-15 of perm(|M|) (Ryser's sum:
+    4.7e-12), on J_n and J_n - I, which are evaluated whole (J_n - I is
+    one block); on the block-triangular ones it was 3.7e-17, against
+    1.4e-15 with the matrix taken whole.  On Gram matrices of 20 Gaussian
+    packets Im/Re was 4e-16 to 2e-14 (Ryser's sum: 3e-10 to 5e-9).
     """
     m = _check_square(m)
-    if m.shape[0] > PERMANENT_MAX_N:
-        raise TooLarge(f"permanent guarded to n <= {PERMANENT_MAX_N}, got {m.shape[0]}")
-    return complex(_glynn(m[None])[0])
+    n = m.shape[0]
+    if n > PERMANENT_MAX_N:
+        raise TooLarge(f"permanent guarded to n <= {PERMANENT_MAX_N}, got {n}")
+    nonzero = m != 0
+    if nonzero.all() or not np.isfinite(m).all():
+        return complex(_glynn(m[None])[0])
+    from scipy.optimize import linear_sum_assignment
+
+    rows, match = linear_sum_assignment(nonzero, maximize=True)
+    if not nonzero[rows, match].all():
+        return 0j
+    # reach[i, r]: row i leads to row r; each row leads to itself
+    reach = nonzero[:, match]
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    # each row's strong component, named by its least row
+    labels = (reach & reach.T).argmax(axis=1)
+    sizes = np.bincount(labels, minlength=n)[labels]
+    order = np.lexsort((labels, sizes))  # by block size, then by block
+    value = 1 + 0j
+    for size in np.unique(sizes):
+        blocks = order[sizes[order] == size].reshape(-1, size)
+        value *= complex(np.prod(_glynn(m[blocks[:, :, None], match[blocks][:, None, :]])))
+    return value
+
+
+@functools.cache
+def _glynn_signs(k: int) -> np.ndarray:
+    """The signs prod_j d_j of the 2^k tabulated sign choices of columns
+    1..k, in table order (row 0), and their negations (row 1), read-only.
+    k <= 10, so the memo holds at most 11 tables, 64 KB in all."""
+    low_signs = np.ones(1 << k)
+    for j in range(k):
+        half = 1 << j
+        low_signs[half:2 * half] = -low_signs[:half]
+    signs = np.array([low_signs, -low_signs], dtype=complex)
+    signs.flags.writeable = False
+    return signs
 
 
 def _glynn(stack: np.ndarray) -> np.ndarray:
@@ -1052,12 +1108,10 @@ def _glynn(stack: np.ndarray) -> np.ndarray:
     columns = stack.transpose(2, 1, 0)[..., None]  # columns[c][i, b, 0] = M_b[i, c]
     row_sums = np.empty((n, count, 1 << k), dtype=complex)
     row_sums[..., 0] = stack.sum(axis=2).T
-    low_signs = np.ones(1 << k)
     for j in range(k):
         half = 1 << j
         row_sums[..., half:2 * half] = row_sums[..., :half] - 2 * columns[j + 1]
-        low_signs[half:2 * half] = -low_signs[:half]
-    signs = np.array([low_signs, -low_signs], dtype=complex)  # by a step's sign bit
+    signs = _glynn_signs(k)  # by a step's sign bit
     # each walked column's moves back to sign +1 and to -1, by its new bit
     moves = [(2 * columns[c], -2 * columns[c]) for c in range(k + 1, n)]
     products = np.multiply.reduce(row_sums, axis=0)

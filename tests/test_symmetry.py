@@ -1578,9 +1578,11 @@ def test_permanent_of_ones_and_derangements(n):
 
 
 def test_permanent_block_triangular_factorizes():
-    # At n = 13 there are ten tabulated columns and three walked in
-    # Gray-code order, with the last diagonal block straddling the two.
-    # n = 18 and 20 walk the row-sum table in place for 127 and 511 steps.
+    # permanent splits these matrices into their diagonal blocks before the
+    # kernel runs, so _glynn is also run on each whole matrix: at n = 13 it
+    # tabulates ten columns and walks three in Gray-code order, with the
+    # last diagonal block straddling the two, and at n = 18 and 20 it walks
+    # the row-sum table in place for 127 and 511 steps.
     for sizes, seed in (((3, 4, 5), 12), ((4, 5, 4), 13), ((6, 6, 6), 18),
                         ((7, 7, 6), 20)):
         rng = np.random.default_rng(seed)
@@ -1592,7 +1594,102 @@ def test_permanent_block_triangular_factorizes():
             m[hi:, lo:hi] = 0.0  # zero below each diagonal block
             blocks.append(m[lo:hi, lo:hi])
         expected = math.prod(naive_permanent(b) for b in blocks)
+        tol = n * EPS * ryser_mass(m)
+        assert abs(sym.permanent(m) - expected) <= tol
+        assert abs(sym._glynn(m[None])[0] - expected) <= tol
+
+
+def test_permanent_without_a_perfect_matching_is_exactly_zero():
+    # a zero row, and a k x (n - k + 1) zero block (Frobenius-Koenig): no
+    # permutation avoids the zeros, so every product of the sum holds one
+    rng = np.random.default_rng(29)
+    for n in range(1, 21):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m[rng.integers(n)] = 0.0
+        value = sym.permanent(m)
+        assert type(value) is complex and repr(value) == "0j"
+        for k in range(1, n + 1):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m[np.ix_(rng.permutation(n)[:k], rng.permutation(n)[:n - k + 1])] = 0.0
+            value = sym.permanent(m)
+            assert type(value) is complex and repr(value) == "0j"
+
+
+def test_permanent_of_sparse_matrices_matches_naive_sum():
+    # exact zeros at densities from 0.2 to 0.9: singular patterns, several
+    # blocks and single blocks
+    rng = np.random.default_rng(290)
+    for n, trials in ((1, 10), (2, 30), (3, 40), (4, 40), (5, 40), (6, 30), (7, 8), (8, 3)):
+        for _ in range(trials):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            m[rng.random((n, n)) > rng.uniform(0.2, 0.9)] = 0.0
+            assert abs(sym.permanent(m) - naive_permanent(m)) <= n * EPS * ryser_mass(m)
+
+
+def test_permanent_of_spinor_gram_matrix_factorizes_by_sector():
+    # modes of spin 1/2 in the sectors m = +1/2 and -1/2 with a dense
+    # payload overlap: the Gram matrix is a scrambled block-diagonal
+    from idstat import spinstat as ss
+    rng = np.random.default_rng(291)
+    payload = random_unit_overlap(16, rng).matrix
+    reg = sym.ModeRegistry()
+    ov = ss.SpinorOverlap(reg, lambda u, v: payload[u, v])
+
+    def modes(ups, downs):
+        ids = [reg.register(ss.SpinorMode(0.5, 0.5 - (k >= ups), rng.uniform(0, 2 * math.pi),
+                                           int(rng.integers(16))))
+               for k in range(ups + downs)]
+        return [ids[k] for k in rng.permutation(len(ids))]
+
+    for ups, downs in ((1, 1), (3, 2), (4, 4), (5, 6)):
+        a, b = modes(ups, downs), modes(ups, downs)
+        m = sym.overlap_matrix(a, b, ov)
+        sector = [[i for i in a if reg[i].m == s] for s in (0.5, -0.5)]
+        sector_b = [[j for j in b if reg[j].m == s] for s in (0.5, -0.5)]
+        expected = math.prod(
+            naive_permanent(sym.overlap_matrix(x, y, ov)) for x, y in zip(sector, sector_b))
+        n = ups + downs
         assert abs(sym.permanent(m) - expected) <= n * EPS * ryser_mass(m)
+        # one more up mode on b's side: the sectors cannot be matched
+        m = sym.overlap_matrix(a, modes(ups + 1, downs - 1), ov)
+        assert repr(sym.permanent(m)) == "0j"
+
+
+def test_permanent_with_a_nan_or_inf_among_zeros_is_glynns_value():
+    # 0 * nan is nan, so a non-finite entry keeps the matrix whole even
+    # where the zeros alone would give 0
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        m = np.ones((5, 5), dtype=complex)
+        m[2] = 0.0
+        m[0, 1] = bad
+        m[3, 0] = 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            whole = complex(sym._glynn(m[None])[0])
+            assert repr(sym.permanent(m)) == repr(whole)
+        assert math.isnan(whole.real) or math.isnan(whole.imag)
+
+
+def test_permanent_of_a_dense_matrix_is_glynns_value_bitwise():
+    rng = np.random.default_rng(292)
+    for n in range(15):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert sym.permanent(m) == complex(sym._glynn(m[None])[0])
+
+
+def test_permanent_hands_the_kernel_one_stack_per_block_size(monkeypatch):
+    # block upper-triangular with diagonal blocks of 7, 6 and 7, scrambled
+    rng = np.random.default_rng(293)
+    m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    m[7:, :7] = m[13:, 7:13] = 0.0
+    blocks = [m[:7, :7], m[7:13, 7:13], m[13:, 13:]]
+    expected = math.prod(naive_permanent(b) for b in blocks)
+    m = m[rng.permutation(20)][:, rng.permutation(20)]
+    shapes = []
+    real = sym._glynn
+    monkeypatch.setattr(sym, "_glynn", lambda stack: shapes.append(stack.shape) or real(stack))
+    value = sym.permanent(m)
+    assert sorted(shapes) == [(1, 6, 6), (2, 7, 7)]
+    assert abs(value - expected) <= 20 * EPS * ryser_mass(m)
 
 
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
