@@ -4,24 +4,31 @@ A state of n particles is a finite sum of product terms; each term
 assigns one single-particle mode to each Hilbert-space slot and carries a
 complex coefficient.  A state holds its terms as two read-only arrays:
 ``modes``, one row of n mode ids per term (T x n int64), and ``coeffs``
-(T complex).  The state operations form their result through one merge.
-Each mode id is replaced by its rank among the distinct ids, in the
-smallest unsigned dtype that holds the ranks, and each rank row becomes
-one int64 key, its ranks the digits in base (distinct ids), slot 0 most
-significant; past 2^62 the partial keys are ranked again.  Every merge
-and sort of rows goes through that key: one stable sort groups equal
-rows in lexicographic order, each group's coefficients are summed from
-0j in input order, the arithmetic of a dict merge, and only the kept
-rows are mapped back to ids.  The projectors merge only the terms'
-orbits, their sorted rows, and expand each kept orbit into its
-n!/prod(m_k!) distinct arrangements (m_k the multiplicities of its
-modes) in lexicographic order, so their cost follows the output, not
-len(terms) * n!.  The table of arrangements depends only on the run
-lengths m_k, so it is built once per multiplicity pattern and kept (the
-last 8 patterns, read-only); each projection gathers its ids from it
-into one output-sized buffer.  The orbit grouping (each row sorted, each
-row's orbit, the sign of the permutation that sorts it) is shared by the
-projectors and ``scalar_product``.
+(T complex).  The state operations form their result through one merge,
+on rows made compact by one rule: each mode id less the least id, in the
+smallest unsigned dtype that holds the span, so that no sort is needed;
+or each id's rank among the distinct ids, when the ids span 2^31 values
+or more, or when a small state's span passes what one key holds.  Either
+way rows compare as their ids do.  Each compact row becomes one int64
+key, its entries the digits in that base (the span, or the count of
+distinct ids), slot 0 most significant; past 2^62 the partial keys are
+ranked again.  Every merge and sort of rows goes through that key: one
+stable sort groups equal rows in lexicographic order, each group's
+coefficients are summed from 0j in input order, the arithmetic of a dict
+merge, and each kept row is taken from the merge's own rows of ids by
+its group's first index.  The projectors merge only the terms' orbits,
+their sorted rows, and expand each kept orbit into its n!/prod(m_k!)
+distinct arrangements (m_k the multiplicities of its modes) in
+lexicographic order, so their cost follows the output, not len(terms) *
+n!.  The table of arrangements depends only on the run lengths m_k, so
+it is built once per multiplicity pattern and kept (the last 8 patterns,
+read-only); each projection gathers its ids from it into one
+output-sized buffer.  One orbit step serves the projectors and
+``scalar_product``: it sorts each row and sums the coefficients per
+orbit, dropping no sum; when signed, it first takes each coefficient
+times the sign of the permutation that sorts its row, and then drops the
+orbits with a repeated mode.  The projectors then refuse a non-finite
+sum and drop the small ones.
 
 ``scalar_product`` never loops over term pairs.  When either state was
 made by a projector, which keeps on its output the orbits it expanded
@@ -119,6 +126,13 @@ PROJECTOR_MAX_IDS = 9 * PROJECTOR_MAX_ROWS
 
 # Row keys stay below this, so that a key plus it still fits in an int64.
 _KEY_LIMIT = 1 << 62
+
+# Below this many ids, ids that span more values than one row key holds
+# are ranked: one sort of the ids then costs less than _row_keys' sort of
+# the partial keys for each column past the key.  Sparse ids at n = 8 (2
+# cores, numpy 2.4): 15 against 53 us at 16 ids, 17 against 11 ms at
+# 322560; the two cross between 30000 and 40000 ids.
+_RANK_IDS_BELOW = 1 << 15
 
 # Entries in each temporary of scalar_product (complex), and in each
 # block that the projectors write and the parity helper compares.
@@ -303,23 +317,36 @@ def _mode_rows(rows, n: int) -> np.ndarray:
         raise ValueError("mode ids must fit in a signed 64-bit integer") from None
 
 
-def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ids, and the rows as ranks into them (smallest uint)."""
+def _compact(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows' mode ids as entries below a base, in the same places and
+    in the smallest unsigned dtype that holds them, and that base.  Each
+    id less the least id, so that no sort is needed (a registry's ids),
+    unless the ids span 2^31 values or more, or fewer than
+    _RANK_IDS_BELOW ids span more values than one row key holds; then
+    each id's rank among the distinct ids.  Either way rows compare as
+    their ids do.  No ids: base 0."""
+    if not rows.size:
+        return rows.astype(np.uint8), 0
+    low = int(rows.min())
+    span = int(rows.max()) - low + 1
+    if span < 1 << 31 and (rows.size >= _RANK_IDS_BELOW
+                           or span ** rows.shape[1] <= _KEY_LIMIT):
+        # the ids and the least id wrap alike in the narrow dtype, and
+        # their difference, below span, is exact
+        dtype = np.min_scalar_type(span - 1)
+        return rows.astype(dtype) - np.int64(low).astype(dtype), span
     ids, ranks = np.unique(rows, return_inverse=True)
-    dtype = np.min_scalar_type(max(len(ids) - 1, 0))
-    return ids, ranks.reshape(rows.shape).astype(dtype)
+    dtype = np.min_scalar_type(len(ids) - 1)
+    return ranks.reshape(rows.shape).astype(dtype), len(ids)
 
 
-def _merge(ranks: np.ndarray, size: int,
-           coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _merge(rows: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First index and coefficient sum (from 0j in input order, as a dict
-    merge adds) of each distinct rank row (ranks below ``size``), in
-    lexicographic order, and each row's group as an index into them: the
-    rows are grouped by their ``_row_keys``."""
-    if len(ranks) == 1:
-        one = np.zeros(1, dtype=np.intp)
-        return one, coeffs + 0, one  # 0j + c
-    keys = _row_keys(ranks, size)
+    merge adds) of each distinct row of mode ids, in lexicographic order:
+    the rows are grouped by the ``_row_keys`` of their compact form."""
+    if len(rows) <= 1:
+        return np.zeros(len(rows), dtype=np.intp), coeffs + 0  # 0j + c
+    keys = _row_keys(*_compact(rows))
     if len(keys) and (keys == keys[0]).all():  # one group: no sort needed
         first, group = np.zeros(1, dtype=np.intp), np.zeros(len(keys), dtype=np.intp)
     else:
@@ -329,27 +356,23 @@ def _merge(ranks: np.ndarray, size: int,
     # to refuse, as Python's complex arithmetic does without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(sums, group, coeffs)
-    return first, sums, group
+    return first, sums
 
 
-def _merged(rows: np.ndarray,
-            coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows (mode ids) merged in order: the sorted distinct ids, and
-    the rank rows into them and the coefficient sums that are kept, the
-    sums at or below COEFF_DROP_TOL dropped.  A non-finite sum raises."""
-    ids, ranks = _ranked(rows)
-    first, sums, _ = _merge(ranks, len(ids), coeffs)
+def _kept(sums: np.ndarray) -> np.ndarray:
+    """Which coefficient sums are kept: those above COEFF_DROP_TOL.  A
+    non-finite sum raises."""
     if not np.isfinite(sums).all():
         raise ValueError("term coefficient must be finite")
-    keep = np.abs(sums) > COEFF_DROP_TOL
-    return ids, ranks.take(first[keep], axis=0), sums[keep]
+    return np.abs(sums) > COEFF_DROP_TOL
 
 
 def _state(n: int, rows: np.ndarray, coeffs: np.ndarray) -> NParticleState:
     """Canonical state of the rows (mode ids) and coefficients, merged in
-    order; only the kept rows map back to ids."""
-    ids, ranks, sums = _merged(rows, coeffs)
-    return _fill(object.__new__(NParticleState), n, ids[ranks], sums, None)
+    order; the kept rows are taken from ``rows``."""
+    first, sums = _merge(rows, coeffs)
+    keep = _kept(sums)
+    return _fill(object.__new__(NParticleState), n, rows[first[keep]], sums[keep], None)
 
 
 def _canonical(n: int, raw_terms) -> NParticleState:
@@ -391,8 +414,8 @@ def states_close(a: NParticleState, b: NParticleState, tol: float = 1e-12) -> bo
     """Term-for-term comparison of two canonical states."""
     if a.n != b.n:
         return False
-    ids, ranks = _ranked(np.concatenate([a.modes, b.modes]))
-    _, diff, _ = _merge(ranks, len(ids), np.concatenate([a.coeffs, -b.coeffs]))
+    _, diff = _merge(np.concatenate([a.modes, b.modes]),
+                     np.concatenate([a.coeffs, -b.coeffs]))
     return bool(np.all(np.abs(diff) <= tol))
 
 
@@ -531,21 +554,13 @@ def _prepend(counts: tuple[int, ...], tables: dict) -> np.ndarray:
 
 def _projector(s: NParticleState, signed: bool) -> NParticleState:
     n = s.n
-    modes, coeffs = s.modes, s.coeffs
     if n == 0:
-        return _state(0, modes, coeffs)  # the identity is the only permutation
-    orbits = np.sort(modes, axis=1)
-    if signed:
-        distinct = np.all(orbits[:, 1:] != orbits[:, :-1], axis=1)
-        coeffs = coeffs[distinct]
-    if not len(coeffs):
+        return _state(0, s.modes, s.coeffs)  # the identity is the only permutation
+    orbits, sums = _orbit_step(s.modes, s.coeffs, signed)
+    keep = _kept(sums)
+    orbits, sums = orbits[keep], sums[keep]
+    if not len(sums):
         return zero_state(n)
-    if signed:
-        modes, orbits = modes[distinct], orbits[distinct]
-        # times the sign of the permutation that sorts the row
-        coeffs = np.where(_odd(modes), -coeffs, coeffs)
-    ids, ranks, sums = _merged(orbits, coeffs)
-    orbits = ids[ranks]
     # The orbits by their runs of equal ids (a run starts where the id
     # changes): the run lengths m_k pick the table, and the first slot of
     # each run the id that the table's class index stands for.
@@ -562,7 +577,7 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
         rows += size * len(members)
         if rows > PROJECTOR_MAX_ROWS or rows * n > PROJECTOR_MAX_IDS:
             raise TooLarge(
-                f"projecting {len(coeffs)} terms of {n} particles expands past "
+                f"projecting {len(s.coeffs)} terms of {n} particles expands past "
                 f"{PROJECTOR_MAX_ROWS} rows or {PROJECTOR_MAX_IDS} mode ids")
         members = np.array(members)
         sizes[members] = size
@@ -600,13 +615,14 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
                      coefficients(members, len(table)), None,
                      form._replace(ids=distinct, table=table))
     # The orbits are disjoint sets of rows.  Their order is taken from the
-    # rank rows first (each orbit's rows are in order already, which a
-    # stable sort exploits); then each block of orbits is gathered and
-    # written at its sorted rows, so only the output is held at full size.
-    heads = [ranks[members][:, first_slots] for _, first_slots, members in blocks]
+    # compact rows first (each orbit's rows are in order already, which a
+    # stable sort exploits); then each block of orbits is gathered from
+    # the ids and written at its sorted rows, so only the output is held
+    # at full size.
+    compact, base = _compact(orbits)
     order = np.argsort(_row_keys(np.concatenate(
-        [h[:, table].reshape(-1, n) for h, (table, _, _) in zip(heads, blocks)]),
-        len(ids)), kind="stable")
+        [compact[members][:, first_slots][:, table].reshape(-1, n)
+         for table, first_slots, members in blocks]), base), kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
     del order
@@ -616,15 +632,34 @@ def _projector(s: NParticleState, signed: bool) -> NParticleState:
     row = np.dtype((np.void, out_modes.itemsize * n))
     out_rows = out_modes.view(row).ravel()
     start = 0
-    for h, (table, _, members) in zip(heads, blocks):
+    for table, first_slots, members in blocks:
+        heads = orbits[members][:, first_slots]
         step = max(1, _TERM_PAIR_BLOCK // table.size)
         for i in range(0, len(members), step):
             at = position[start:start + len(members[i:i + step]) * len(table)]
-            block = np.ascontiguousarray(ids[h[i:i + step, table]].reshape(-1, n))
+            block = np.ascontiguousarray(heads[i:i + step, table].reshape(-1, n))
             out_rows[at] = block.view(row).ravel()
             out_coeffs[at] = coefficients(members[i:i + step], len(table))
             start += len(at)
     return _fill(object.__new__(NParticleState), n, out_modes, out_coeffs, None, form)
+
+
+def _orbit_step(modes: np.ndarray, coeffs: np.ndarray,
+                signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the rows (mode ids), as sorted rows in lexicographic
+    order, and each orbit's coefficient sum, from 0j in term order with
+    no sum dropped.  Signed: each coefficient is taken times the sign of
+    the permutation that sorts its row, and the orbits with a repeated
+    mode, which hold the rows the antisymmetrizer kills, are dropped."""
+    orbits = np.sort(modes, axis=1)
+    if signed:
+        coeffs = np.where(_odd(modes), -coeffs, coeffs)
+    first, sums = _merge(orbits, coeffs)
+    orbits = orbits[first]
+    if signed:
+        distinct = _run_starts(orbits).all(axis=1)
+        orbits, sums = orbits[distinct], sums[distinct]
+    return orbits, sums
 
 
 def _run_starts(orbits: np.ndarray) -> np.ndarray:
@@ -726,9 +761,8 @@ def scalar_product(a: NParticleState, b: NParticleState,
     takes the term-pair route unless the other side carries a form.  a's
     form is read first, then b's.  When Q carries a form from the same
     projector, its orbit sums are B = M A (n! A for the antisymmetrizer)
-    and nothing is merged; otherwise Q's rows are merged by orbit,
-    grouped by their ids less the least id (a sort of the ids only when
-    they span 2^31 values or more).  The route is kept only when
+    and nothing is merged; otherwise B comes from the projectors' orbit
+    step (see the module docstring).  The route is kept only when
     n <= PERMANENT_MAX_N and K_P K_Q w <= T_a T_b, w = 2^(n-1) Glynn sign
     vectors (n^2 // 3 LU steps of n if signed); one call of the stacked
     kernel (see permanent), or of np.linalg.det, evaluates each block of
@@ -794,15 +828,9 @@ def _orbit_sum(a: NParticleState, b: NParticleState,
         # their signs), so its sum is M w
         others, sums = s._form.orbits, s._form.coeffs * s._form.sizes
     else:
-        rows, base = _small_rows(s.modes)
-        first, sums, _ = _merge(np.sort(rows, axis=1), base,
-                                np.where(_odd(rows), -s.coeffs, s.coeffs) if signed
-                                else s.coeffs)
-        others = np.sort(s.modes[first], axis=1)
-        if signed:
-            # an orbit with a repeated mode has a determinant of 0
-            live = _run_starts(others).all(axis=1)
-            others, sums = others[live], sums[live]
+        # signed, the step drops the orbits with a repeated mode, whose
+        # determinants are 0
+        others, sums = _orbit_step(s.modes, s.coeffs, signed)
     pairs = len(form.orbits) * len(others)
     if pairs * (n * n // 3 if signed else 1 << (n - 1)) > len(a.coeffs) * len(b.coeffs):
         return None
@@ -825,18 +853,6 @@ def _orbit_sum(a: NParticleState, b: NParticleState,
         g = table[a_rows[i, :, None], b_rows[l, None, :]]
         total += complex((np.conj(x[i]) * y[l]) @ evaluate(g))
     return total
-
-
-def _small_rows(modes: np.ndarray) -> tuple[np.ndarray, int]:
-    """The mode ids as entries below a base, in the same order, and that
-    base: the ids less the least id when they span fewer than 2^31 values
-    (a registry's ids do), so that no sort is needed, else their ranks."""
-    low = int(modes.min())
-    span = int(modes.max()) - low + 1
-    if span < 1 << 31:
-        return modes - low, span
-    ids, ranks = _ranked(modes)
-    return ranks, len(ids)
 
 
 def _term_pair_sum(a: NParticleState, a_slots: np.ndarray, b: NParticleState,
@@ -1037,7 +1053,8 @@ def permanent(m) -> complex:
     fully indecomposable blocks M[C, c(C)], and perm(M) is the product of
     their permanents (Frobenius-Koenig; Brualdi and Ryser 1991, ch. 4).
     The blocks are evaluated one stack per block size.  A matrix with no
-    zero, or with a NaN or an infinity, is evaluated whole.
+    zero, or with a NaN or an infinity, or whose pattern is one block, is
+    evaluated whole, as given.
 
     perm(M) = 2^-(n-1) sum over d in {+1, -1}^n with d_0 = +1 of
     (prod_j d_j) prod_i sum_j d_j M[i, j] (Glynn 2010): half of Ryser's
@@ -1074,6 +1091,8 @@ def permanent(m) -> complex:
     reach = nonzero[:, match]
     for _ in range((n - 1).bit_length()):
         reach = reach @ reach
+    if reach[0].all() and reach[:, 0].all():  # one block: the matrix as given
+        return complex(_glynn(m[None])[0])
     # each row's strong component, named by its least row
     labels = (reach & reach.T).argmax(axis=1)
     sizes = np.bincount(labels, minlength=n)[labels]

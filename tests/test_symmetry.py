@@ -898,6 +898,78 @@ def test_row_keys_order_rows_lexicographically(n, base):
     assert np.array_equal(sym._row_keys(rows[:, :0], base), np.zeros(3000))
 
 
+def edge_raw(rng, n: int, pool: np.ndarray, n_rows: int, orbit_count: int):
+    """(coeff, modes) terms: arrangements of ``orbit_count`` orbits drawn
+    from ``pool``.  The first two terms hold the pool's least and greatest
+    ids, so that every merge sees its whole span.  Some terms repeat."""
+    orbits = [rng.choice(pool, n) for _ in range(orbit_count)]
+    orbits[0][0], orbits[1][-1] = pool.min(), pool.max()
+    picks = [0, 1] + rng.integers(orbit_count, size=n_rows - 2).tolist()
+    rows = [orbits[k][rng.permutation(n)].tolist() for k in picks]
+    rows += rows[:3]
+    coeffs = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return [(c, tuple(r)) for c, r in zip(coeffs.tolist(), rows)]
+
+
+@pytest.mark.parametrize("case, n, n_rows, orbit_count, ranked", [
+    # (2^31 - 1)^1 fits one key: subtracted; 2^31 values: ranked
+    ("span 2^31 - 1", 1, 40, 30, False),
+    ("span 2^31", 1, 40, 30, True),
+    # 33000 ids: subtracted below 2^31 values, though the keys take the
+    # re-ranking loop, and ranked at 2^31
+    ("span 2^31 - 1", 3, 11000, 3000, False),
+    ("span 2^31", 3, 11000, 3000, True),
+    ("int64 ends", 4, 60, 12, True),
+    # ids spread over 2^30 values at n = 8: a small state's ids are ranked;
+    # 32800 are subtracted and their keys take the re-ranking loop
+    ("sparse", 8, 30, 3, True),
+    ("sparse", 8, 4100, 3, False),
+])
+def test_compaction_edges_match_reference_dict_merge_and_projectors(
+        case, n, n_rows, orbit_count, ranked):
+    rng = np.random.default_rng([n, n_rows])
+    if case == "int64 ends":
+        pool = np.concatenate([[-2**63, 2**63 - 1], -rng.choice(1 << 62, 8, replace=False)])
+    elif case == "sparse":
+        pool = rng.choice(1 << 24, 12, replace=False) * 64 + 7
+    else:  # 12 ids spanning exactly that many values
+        span = (1 << 31) - (case == "span 2^31 - 1")
+        low = int(rng.integers(-1 << 40, 1 << 40))
+        pool = np.array([low, low + span - 1] + (low + rng.choice(span, 10)).tolist())
+    raw_a = edge_raw(rng, n, pool, n_rows, orbit_count)
+    raw_b = edge_raw(rng, n, pool, n_rows // 2, orbit_count)
+    rows = np.array([modes for _, modes in raw_a], dtype=np.int64)
+    compact, base = sym._compact(rows)
+    span = int(rows.max()) - int(rows.min()) + 1
+    assert base == (len(np.unique(rows)) if ranked else span)
+    assert compact.dtype.kind == "u" and np.array_equal(
+        np.unique(compact, return_inverse=True)[1], np.unique(rows, return_inverse=True)[1])
+    if case in ("span 2^31 - 1", "sparse") and not ranked and n > 1:
+        assert base ** n > 1 << 62  # _row_keys ranks its partial keys again
+    a, b = sym._canonical(n, raw_a), sym._canonical(n, raw_b)
+    c = complex(*rng.normal(size=2))
+    perm = tuple(rng.permutation(n).tolist())
+    pairs = [
+        (a, reference_canonical(n, raw_a)),
+        (b, reference_canonical(n, raw_b)),
+        (sym.add(a, b), reference_add(a, b)),
+        (sym.scale(a, c), reference_scale(a, c)),
+        (sym.permute_labels(a, perm), reference_permute_labels(a, perm)),
+        (sym.symmetrize(a), reference_orbit_projector(a, signed=False)),
+        (sym.antisymmetrize(a), reference_orbit_projector(a, signed=True)),
+    ]
+    for got, want in pairs:
+        assert_same_terms(got, want)
+        assert_canonical_arrays(got)
+    if n <= 4:  # the n!-term loop
+        for signed in (False, True):
+            assert_close_terms(pairs[5 + signed][0], reference_projector(a, signed),
+                               coefficient_mass(a))
+    for other in (a, b, sym.scale(a, 1 + 1e-13)):
+        for tol in (1e-12, 0.5):
+            assert sym.states_close(a, other, tol) == reference_states_close(a, other, tol)
+
+
 def test_projector_of_orbits_past_one_key_matches_reference():
     # 600 orbits of 6 slots, each one id four times and two more, over 1800
     # ids: 1800^6 > 2^64, so both the merge of the orbits and the sort of
@@ -939,6 +1011,10 @@ def test_projectors_of_non_canonical_no_slot_states(coeffs, zero):
 
 
 def test_packed_key_with_no_slots_and_the_zero_state():
+    # the least id of no ids is never asked for: no rows, or rows of no slots
+    for shape in ((0, 3), (0, 0), (4, 0)):
+        compact, base = sym._compact(np.zeros(shape, dtype=np.int64))
+        assert compact.shape == shape and compact.dtype == np.uint8 and base == 0
     raw = [(1.5 - 2j, ()), (0.25j, ()), (-1.5, ())]
     s, other = sym._canonical(0, raw), sym._canonical(0, [(2.0, ())])
     pairs = [
@@ -1670,9 +1746,23 @@ def test_permanent_with_a_nan_or_inf_among_zeros_is_glynns_value():
 
 
 def test_permanent_of_a_dense_matrix_is_glynns_value_bitwise():
+    # also matrices with zeros whose pattern is one fully indecomposable
+    # block, which are evaluated whole, as given: scrambled J_n - I
+    # (complex scalings of rows and columns, as the benchmark's) and a
+    # sparse complex one.  J_2 - I is two 1 x 1 blocks, so n starts at 3.
     rng = np.random.default_rng(292)
-    for n in range(15):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    matrices = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in range(15)]
+    for n in range(3, 15):
+        scale = np.exp(rng.normal(0.0, 0.2, (2, n)) + 2j * np.pi * rng.random((2, n)))
+        core = scale[0][:, None] * (np.ones((n, n)) - np.eye(n)) * scale[1]
+        matrices.append(core[rng.permutation(n)][:, rng.permutation(n)])
+    # a 9 x 9 cycle with chords: each row leads on to the next one
+    sparse = np.zeros((9, 9), dtype=complex)
+    for i in range(9):
+        for j in (i, (i + 1) % 9, (i + 4) % 9):
+            sparse[i, j] = complex(*rng.normal(size=2))
+    matrices.append(sparse[rng.permutation(9)][:, rng.permutation(9)])
+    for m in matrices:
         assert sym.permanent(m) == complex(sym._glynn(m[None])[0])
 
 
