@@ -7,11 +7,23 @@ Pauli violation, Bose saturation or a projector past its size guard),
 it early, ``main`` exits 141 (128 + SIGPIPE, as shells report a writer
 killed by a broken pipe) without a traceback.
 Output is deterministic for identical argv + config + seed; reals are
-written with 17 significant digits so they round-trip exactly.  Each
-table is formatted from its column arrays through one row template and
-written in one piece; a column with at most half as many distinct values
-as rows is formatted once per distinct value and gathered into it.  A
-state (``symmetrize``) is written as ``json.dumps`` writes it, joined from
+written with 17 significant digits so they round-trip exactly.  A CSV
+table is written byte for byte as ``"%.17g"`` (floats) and ``"%d"``
+(integers) would write it, but built as byte matrices, a block of rows at
+a time, with no Python string per value.  A float's 17 digits are the
+rounded D = rint(p) of p = |x| * 10^(16-k) in long double, with k the
+decade that puts p in [10^16, 10^17) and the power of ten rounded once;
+where p lies within 2 eps * 10^17 (eps of long double) of a half-integer,
+and for NaN and infinities, the value is written by ``"%.17g"`` instead
+(about 4% of values, and all of them where long double is double).  D is
+written eight digits to a uint64 word, and each value's characters are
+one gather from its digits and a few literals through a layout that
+depends only on the notation and exponent kind of k, the count of
+significant digits and the sign.  Each block's fields, with "," and
+newlines, fill one byte matrix padded with NUL; its other bytes, joined
+over blocks and tables, are decoded once.  A column with at most half as
+many distinct values as rows is formatted once per distinct value and
+gathered into it.  A state (``symmetrize``) is written as ``json.dumps`` writes it, joined from
 a few pieces per term: the coefficient parts with their JSON text, then
 the mode ids one pair of slots a piece, from a table of the d^2 id-pair
 texts when d^2 (d distinct ids) is no more than the terms, else one slot
@@ -94,7 +106,7 @@ def load_config(path: str) -> Config:
     return Config(**merged)
 
 
-def _texts(values: np.ndarray, fmt: str, most: int | None = None):
+def _texts(values: np.ndarray, fmt: str):
     """``fmt % v`` for every value, as an object array of ``str`` shaped
     like ``values``, formatting each distinct value once.  ``fmt`` may
     hold newlines and other text around its one value: the texts are
@@ -102,18 +114,16 @@ def _texts(values: np.ndarray, fmt: str, most: int | None = None):
 
     Floats are keyed by their bit pattern, so -0.0 keeps its sign and each
     NaN or infinity formats as itself; other dtypes are keyed by value.
-    Returns None, formatting nothing, when there are more than ``most``
-    distinct values, counted by a plain sort (a third of the cost of
-    ``np.unique``'s inverse index at 2048 values, a seventh at 20480).
     """
     flat = values.ravel()
-    keys = flat.view(f"i{flat.itemsize}") if flat.dtype.kind == "f" else flat
-    if most is not None:
-        ordered = np.sort(keys)
-        if np.count_nonzero(ordered[1:] != ordered[:-1]) >= most:
-            return None
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = np.unique(_keys(flat), return_inverse=True)
     return _formatted(distinct.view(flat.dtype), fmt)[inverse].reshape(values.shape)
+
+
+def _keys(values: np.ndarray) -> np.ndarray:
+    """Floats as their bit patterns (-0.0 apart from 0.0, each NaN as
+    itself), other dtypes as they are."""
+    return values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
 
 
 def _formatted(values: np.ndarray, fmt: str) -> np.ndarray:
@@ -123,33 +133,305 @@ def _formatted(values: np.ndarray, fmt: str) -> np.ndarray:
                      % tuple(values.tolist())).split("\0")[:-1], dtype=object)
 
 
+# -- CSV tables as byte matrices --------------------------------------------
+
+# A float's 17 digits come from p = |x| * 10^(16-k) in long double, whose
+# error stays below about 1.5 eps * 10^17 (two roundings, p < 10^17).
+# Where p lies within _MARGIN of a half-integer, the digits could round
+# either way, and the value is written by FMT instead.  Where long double
+# is double, the margin passes 1/2 and every value takes FMT.
+_MARGIN = 2.0 * float(np.finfo(np.longdouble).eps) * 1e17
+
+# The widest %.17g text: "-1.2345678901234567e-308".
+_WIDTH = 24
+
+# A value's characters are gathered from its 32-byte source row: the
+# literals "0-.e+" and NUL, the 17 digits at bytes 7..23, and the
+# hundreds, tens and ones of |k| at bytes 24..26.  Text shorter than its
+# matrix is padded with NUL, which the table writer drops.
+_ZERO, _MINUS, _POINT, _E, _PLUS, _NUL = range(6)
+_DIGITS, _EXPONENT, _ROW = 7, 24, 32
+_LITERALS = int.from_bytes(b"0-.e+", "little")
+
+# The decimal exponents of nonzero doubles.
+_K_MIN, _K_MAX = -324, 308
+
+# Layout keys: (kind * 17 + L - 1) * 2 + sign, for the count L of
+# significant digits and kind k + 4 in fixed notation (-4 <= k < 17) or,
+# in exponent notation, 21 + 2 * (k < 0) + (|k| >= 100).
+_KINDS = 25
+
+# Values per block of a table, so that the index and byte matrices stay
+# small whatever the table's length.
+_BLOCK_VALUES = 1 << 13
+
+
+class _Memo:
+    """A table of rows over the keys 0..shape[0]-1, each row built on
+    first use of its key by ``build`` (distinct keys to their rows).
+    Threads that fill the same keys write the same rows."""
+
+    def __init__(self, build, shape: tuple, dtype):
+        self.build, self.known = build, np.zeros(shape[0], dtype=bool)
+        self.rows = np.zeros(shape, dtype=dtype)
+
+    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
+        if not np.take(self.known, keys).all():
+            wanted = np.zeros(self.known.size, dtype=bool)
+            wanted[keys] = True
+            new = np.flatnonzero(wanted & ~self.known)
+            self.rows[new] = self.build(new)
+            self.known[new] = True
+        return np.take(self.rows, keys, axis=0)
+
+
+def _powers_of_ten(keys: np.ndarray) -> np.ndarray:
+    """10^(key + 16 - _K_MAX), each rounded once (to nearest, ties to
+    even) to long double: the quotient, rounded to the mantissa's width
+    with Python ints, summed exactly from 32-bit pieces (a double holds
+    each) and scaled by its power of two."""
+    bits = np.finfo(np.longdouble).nmant + 1
+    quotients, exps = [], []
+    for n in (keys + 16 - _K_MAX).tolist():
+        power = 10 ** abs(n)
+        if n >= 0:
+            shift = max(0, power.bit_length() - bits)
+            num, den, exp = power, 1 << shift, shift
+        else:
+            shift = power.bit_length() + bits - 1
+            num, den, exp = 1 << shift, power, -shift
+        q, r = divmod(num, den)
+        quotients.append(q + (2 * r > den or (2 * r == den and q & 1)))
+        exps.append(exp)
+    out = np.zeros(len(quotients), dtype=np.longdouble)
+    for at in range(bits // 32 * 32, -1, -32):
+        piece = np.array([q >> at & 0xFFFFFFFF for q in quotients], dtype=np.float64)
+        out += np.ldexp(piece.astype(np.longdouble), at)
+    return np.ldexp(out, np.array(exps))
+
+
+def _layouts(codes: np.ndarray) -> np.ndarray:
+    """The layout of %.17g for each key: 24 indices into a value's source
+    row (NUL past the text), then the text's length.
+
+    ``%g`` writes fixed notation when -4 <= k < 17 and d.ddde+XX otherwise,
+    without trailing zeros or a bare point: fixed k >= 0 shows k + 1
+    digits before the point, fixed k < 0 shows "0." and -k-1 zeros before
+    all L digits, and the exponent form one digit before the point, then
+    "e", its sign and two or three exponent digits.
+    """
+    codes = codes[:, None]
+    neg, count, kind = codes % 2, codes // 2 % 17 + 1, codes // 34
+    column = np.arange(_WIDTH)
+    q = column - neg                               # position after the sign
+    fixed, k = kind < 21, kind - 4
+    lead = np.where(fixed & (k < 0), 1 - k, 0)     # "0.000" before the digits
+    before = np.where(fixed, np.where(k < 0, count, k + 1), 1)
+    point = count > before
+    body = lead + np.maximum(before, count) + point
+    r = q - lead
+    index = _DIGITS + np.where(point & (r > before), r - 1, r)
+    index = np.where(point & (r == before), _POINT, index)
+    index = np.where(q < lead, np.where(q == 1, _POINT, _ZERO), index)
+    # the exponent: "e", its sign, then its last two or three digits
+    three = (kind - 21) % 2
+    t = q - body
+    exponent = np.where(t == 0, _E, np.where(t == 1, np.where(kind >= 23, _MINUS, _PLUS),
+                                            _EXPONENT - 1 + t - three))
+    index = np.where(~fixed & (t >= 0), exponent, index)
+    index = np.where(q < 0, _MINUS, index)
+    length = neg + body + np.where(fixed, 0, 4 + three)
+    index = np.where(column < length, index, _NUL)
+    return np.concatenate([index, length], axis=1)
+
+
+@functools.cache
+def _tables():
+    """The memos of powers of ten and of layouts, and per decade k its
+    layout kind (times 34, the first key of the kind) and the last eight
+    bytes of the source row (the digits of |k|), made on first use."""
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    e = np.abs(k)
+    kinds = np.where((k >= -4) & (k < 17), k + 4, 21 + 2 * (k < 0) + (e >= 100)) * 34
+    exponents = (48 + e // 100 + (48 + e // 10 % 10 << 8) + (48 + e % 10 << 16)).astype("<u8")
+    return (_Memo(_powers_of_ten, (_K_MAX - _K_MIN + 1,), np.longdouble),
+            _Memo(_layouts, (_KINDS * 34, _WIDTH + 1), np.uint8), kinds, exponents)
+
+
+def _float_bytes(values: np.ndarray):
+    """``FMT % v`` for each value of a 1-D float array, as a character
+    matrix (NUL past each text) and the texts' lengths.
+
+    Each value's characters are one gather from its 32-byte source row
+    (its digits, the digits of its decade k and the literals) through the
+    layout of its key (kind of k, count L of significant digits, sign);
+    the values ``_significands`` leaves inexact take FMT's text, and
+    zeros are laid out as "0".
+    """
+    _, layouts, kinds, exponents = _tables()
+    x = np.asarray(values, dtype=np.float64)
+    k, d, exact = _significands(x)
+    high = d // 10**8
+    first = high // 10**8
+    eight = np.empty((2, x.size), dtype="<u8")
+    eight[0] = high - first * 10**8
+    eight[1] = d - high * 10**8
+    source = np.empty((x.size, _ROW // 8), dtype="<u8")
+    source[:, 0] = _LITERALS + (first + 48 << 56)
+    source[:, 1:3] = _eight_digits(eight).T
+    source[:, 3] = np.take(exponents, k - _K_MIN)
+    source = source.view(np.uint8)
+    count = np.where(exact, 17 - np.argmax(source[:, 23:6:-1] != ord("0"), axis=1), 1)
+    layout = layouts[np.take(kinds, k - _K_MIN) + (count - 1) * 2 + np.signbit(x)]
+    lengths = layout[:, _WIDTH]
+    other = np.flatnonzero(~exact & (x != 0))  # NaN != 0 too
+    if other.size:
+        texts, lengths[other] = _text_bytes(FMT, x[other])
+    width = int(lengths.max(initial=0))
+    chars = np.take(source, layout[:, :width] + np.arange(0, _ROW * x.size, _ROW)[:, None])
+    if other.size:
+        chars[other, :texts.shape[1]] = texts
+    return chars, lengths
+
+
+def _significands(x: np.ndarray):
+    """The decade k, the 17-digit significand D (uint64) and whether D is
+    exact, for each float; k and D are 0 where D is not exact.
+
+    For finite x != 0, k is the decade where p = |x| * 10^(16-k), in long
+    double with the power of ten rounded once, lies in [10^16, 10^17):
+    floor(log10|x|), moved by one where p falls outside.  D = rint(p), and
+    a D that rounds up to 10^17 carries into the next decade.  D is exact
+    unless |p - D| > 1/2 - _MARGIN; zeros, NaN and infinities are not.
+    """
+    powers = _tables()[0]
+    a = np.abs(x)
+    nonzero = np.isfinite(a) & (a > 0)
+    a = np.where(nonzero, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p = a.astype(np.longdouble) * powers[_K_MAX - k]
+    moved = np.flatnonzero((p < 1e16) | (p >= 1e17))
+    if moved.size:
+        k[moved] += np.where(p[moved] >= 1e17, 1, -1)
+        k[moved] = np.clip(k[moved], _K_MIN, _K_MAX)
+        p[moved] = a[moved].astype(np.longdouble) * powers[_K_MAX - k[moved]]
+    d = np.rint(p)
+    exact = nonzero & (np.abs(p - d) <= 0.5 - _MARGIN)
+    if moved.size:
+        exact[moved] &= (p[moved] >= 1e16) & (p[moved] < 1e17)
+    carry = d == 1e17
+    k = np.where(exact, k + carry, 0)
+    return k, np.where(exact, np.where(carry, 1e16, d), 0).astype(np.uint64), exact
+
+
+def _eight_digits(values: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each value below 10^8 as the ASCII
+    bytes of a little-endian uint64: four digits in each 32-bit half,
+    then two in each 16-bit quarter, then one a byte, each step one
+    multiply-shift division that stays within its part."""
+    four = values // 10**4
+    y = four + (values - four * 10**4 << 32)
+    two = y * 10486 >> 20 & 0x0000007F0000007F
+    z = two + (y - two * 100 << 16)
+    tens = z * 103 >> 10 & 0x000F000F000F000F
+    return tens + (z - tens * 10 << 8) + 0x3030303030303030
+
+
+def _text_bytes(fmt: str, values: np.ndarray):
+    """``fmt % v`` for each value, formatted in one string, as a character
+    matrix as wide as the longest text (NUL past each text) and the
+    texts' lengths."""
+    text = np.frombuffer(((fmt + "\0") * values.size
+                          % tuple(values.tolist())).encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(text == 0)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    span = np.arange(lengths.max(initial=0))
+    return text[starts[:, None] + np.minimum(span, lengths[:, None])], lengths
+
+
+def _fields(columns):
+    """The characters and lengths of each 1-D array: ``%d`` for integer
+    arrays, one at a time, and FMT for the others, formatted in one
+    call, end to end."""
+    fields = [None] * len(columns)
+    floats = []
+    for k, c in enumerate(columns):
+        if c.dtype.kind in "iu":
+            fields[k] = _text_bytes("%d", c)
+        else:
+            floats.append(k)
+    if floats:
+        chars, lengths = _float_bytes(np.concatenate([columns[k] for k in floats]))
+        start = 0
+        for k in floats:
+            stop = start + len(columns[k])
+            fields[k] = chars[start:stop], lengths[start:stop]
+            start = stop
+    return fields
+
+
+def _csv_bytes(header, columns) -> bytes:
+    """One CSV table, header line and rows, as ASCII bytes.
+
+    A column with at most half as many distinct values as rows (the time
+    and grid columns of a product grid) is formatted once per distinct
+    value and its character rows are gathered by the inverse index; the
+    distinct values are counted by a plain sort (a third of the cost of
+    ``np.unique``'s inverse index at 2048 values, a seventh at 20480).
+    Every other column is formatted a block of rows at a time.  Each
+    block's fields, each followed by "," or a newline, fill one byte
+    matrix, and its bytes other than the NUL padding are the block's text.
+    """
+    rows = len(columns[0])
+    inverses, distinct = {}, []
+    for k, c in enumerate(columns):
+        ordered = np.sort(_keys(c))
+        if np.count_nonzero(ordered[1:] != ordered[:-1]) < rows // 2:
+            values, inverses[k] = np.unique(_keys(c), return_inverse=True)
+            distinct.append(values.view(c.dtype))
+    shared = dict(zip(inverses, _fields(distinct)))
+    others = [k for k in range(len(columns)) if k not in inverses]
+    parts = [(",".join(header) + "\n").encode("ascii")]
+    step = max(1, _BLOCK_VALUES // len(columns))
+    for start in range(0, rows, step):
+        fields = dict(zip(others, _fields([columns[k][start:start + step] for k in others])))
+        for k, inverse in inverses.items():
+            at = inverse[start:start + step]
+            fields[k] = np.take(shared[k][0], at, axis=0), np.take(shared[k][1], at)
+        fields = [fields[k] for k in range(len(columns))]
+        widths = [int(lengths.max()) for _, lengths in fields]
+        matrix = np.empty((len(fields[0][1]), sum(widths) + len(widths)), dtype=np.uint8)
+        end = 0
+        for (chars, _), width in zip(fields, widths):
+            matrix[:, end:end + width] = chars[:, :width]
+            end += width + 1
+            matrix[:, end - 1] = ord(",")
+        matrix[:, -1] = ord("\n")
+        parts.append(matrix[matrix != 0].tobytes())
+    return b"".join(parts)
+
+
 def _emit_table(out, tables, fmt: str):
     """Write (name, header, columns) tables of equal-length 1-D column arrays.
 
-    CSV tables are separated by a blank line; each one's rows come from
-    one template applied once to the row-major values.  A column with at
-    most half as many distinct values as rows (the time and grid columns
-    of a product grid) is formatted once per distinct value by ``_texts``
-    and enters the template as ``%s``; every other column keeps a ``%d``
-    slot if it is integer and a ``FMT`` slot if not.  JSON is one object
-    keyed by table name.
+    CSV tables are separated by a blank line and written as one string,
+    decoded once from the tables' bytes: each table is byte matrices, a
+    block of rows at a time, with each row's fields and their "," and
+    newline laid out side by side, NUL past each field's text, and the
+    other bytes kept (``_csv_bytes``).  Integers are written as ``%d``.
+    Floats are written byte for byte as ``FMT`` writes them: their 17
+    digits come from one long-double scaling, and a value whose scaled
+    significand lies within ``_MARGIN`` of a half-integer, NaN and the
+    infinities take ``FMT`` itself (``_float_bytes``); the characters are
+    gathered from the digits through a layout memoized per key (kind of
+    exponent, significant digits, sign).  JSON is one object keyed by
+    table name.
     """
     if fmt == "csv":
-        parts = []
-        for _, header, columns in tables:
-            rows = len(columns[0])
-            slots = []
-            values = [None] * (len(columns) * rows)
-            for k, c in enumerate(columns):
-                slot = "%d" if c.dtype.kind in "iu" else FMT
-                texts = _texts(c, slot, most=rows // 2)
-                if texts is not None:
-                    slot, c = "%s", texts
-                slots.append(slot)
-                values[k::len(columns)] = c.tolist()
-            parts.append(",".join(header) + "\n"
-                         + ((",".join(slots) + "\n") * rows) % tuple(values))
-        out.write("\n".join(parts))
+        out.write(b"\n".join(_csv_bytes(header, columns)
+                              for _, header, columns in tables).decode("ascii"))
     else:
         doc = {name: [dict(zip(header, r)) for r in zip(*(c.tolist() for c in columns))]
                for name, header, columns in tables}

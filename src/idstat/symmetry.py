@@ -673,8 +673,7 @@ def _odd(rows: np.ndarray) -> np.ndarray:
     """Whether the permutation that sorts each row is odd: the parity of
     the row's inversions, over all slot pairs of a block of rows at once
     (blocks of _TERM_PAIR_BLOCK comparisons)."""
-    left, right = np.array(list(itertools.combinations(range(rows.shape[1]), 2)),
-                           dtype=np.intp).reshape(-1, 2).T
+    left, right = _slot_pairs(rows.shape[1])
     odd = np.empty(len(rows), dtype=bool)
     step = max(1, _TERM_PAIR_BLOCK // max(1, len(left)))
     for start in range(0, len(rows), step):
@@ -682,6 +681,17 @@ def _odd(rows: np.ndarray) -> np.ndarray:
         odd[start:start + step] = np.bitwise_xor.reduce(
             block[:, left] > block[:, right], axis=1)
     return odd
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_pairs(n: int) -> np.ndarray:
+    """The slot pairs i < j of a row of n, as a (2, n(n-1)/2) array of
+    the left and the right slots in lexicographic order, kept read-only
+    for the last 8 n."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)),
+                     dtype=np.intp).reshape(-1, 2).T
+    pairs.flags.writeable = False
+    return pairs
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,3 +1,5 @@
+import decimal
+import fractions
 import functools
 import io
 import itertools
@@ -564,6 +566,121 @@ def test_evolve_table_writes_reference_bytes():
     assert code == 0
     times = np.linspace(-1.0, 2.0, 20)
     xs = np.linspace(-12.0, 12.0, 64)
+    packet = wavepacket.WavePacket(m0=1.0, sigma=1.0, x0=-0.5, k0=0.7)
+    psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
+    rows = [(float(t), float(x), p.real, p.imag, d) for (t, x), p, d in zip(
+        itertools.product(times, xs), psi.tolist(), (np.abs(psi) ** 2).tolist())]
+    want = io.StringIO()
+    reference_table(want, ["t", "x", "re", "im", "density"], rows, "csv", "evolve")
+    assert text == want.getvalue()
+
+
+def _seventeen_digit_ties() -> list[float]:
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5, so that %.17g rounds a tie: m / 2^q with m odd and m * 5^q of
+    18 digits, found with Python ints.  They lie between 2^-25 and 2^51.
+    (An integer-valued double above 10^17 is a multiple of 16, so none of
+    its expansions ends in 5 or in 50...0.)"""
+    rng = np.random.default_rng(31)
+    ties = []
+    for q in range(2, 26):
+        low = -(-10**17 // 5**q) | 1
+        high = min(2**53, 10**18 // 5**q)
+        for m in range(low, high, 2)[:4]:
+            ties.append(math.ldexp(m, -q))
+        for _ in range(4):
+            m = int(rng.integers(low, high)) | 1
+            ties.append(math.ldexp(m, -q))
+    return ties
+
+
+def _edge_floats() -> np.ndarray:
+    tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
+    payload = np.array([0x7FF8_0000_0000_0123, 0xFFF0_0000_0000_0001], dtype=np.uint64)
+    values = [0.0, math.nan, math.inf, 5e-324, np.nextafter(tiny, 0.0), tiny, huge,
+              1e-5, 9.9999999999999991e-5, 1e-4, 1e16, 9.9999999999999984e16, 1e17,
+              1e99, 9.9999999999999997e99, 1e100, 1.2345e-99, 1e-100, 5.5e-100,
+              2.0**53 - 1, 2.0**53, np.nextafter(2.0**53, math.inf), 0.1, 1.0, 0.5]
+    values += [*payload.view(float)]
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, math.inf)]
+    ties = _seventeen_digit_ties()
+    values += ties + [np.nextafter(t, side) for side in (0.0, math.inf) for t in ties]
+    values = np.array(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def _assert_writes_like_percent_g(values: np.ndarray):
+    """A one-column CSV table of the values, as FMT writes each one."""
+    got = io.StringIO()
+    cli._emit_table(got, [("table", ["v"], [values])], "csv")
+    want = "v\n" + ("%.17g\n" * values.size) % tuple(values.tolist())
+    if got.getvalue() != want:
+        for k, (g, w) in enumerate(zip(got.getvalue().split("\n")[1:], want.split("\n")[1:])):
+            assert g == w, f"row {k}: {values[k]!r} written {g!r}, not {w!r}"
+        assert got.getvalue() == want
+
+
+def test_float_writer_matches_percent_g_on_random_bit_patterns():
+    # every exponent, subnormals, NaN payloads and infinities, in blocks
+    bits = np.random.default_rng(2031).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    _assert_writes_like_percent_g(bits.view(float))
+
+
+def test_float_writer_matches_percent_g_at_the_edges():
+    values = _edge_floats()
+    ties = _seventeen_digit_ties()
+    assert len(ties) > 100 and all(
+        len(d := format(decimal.Decimal(t), "f").replace(".", "").strip("0")) == 18
+        and d.endswith("5") for t in ties)
+    _assert_writes_like_percent_g(values)
+    # the character matrix itself: NUL past each text, and the lengths
+    chars, lengths = cli._float_bytes(values)
+    want = np.array(["%.17g" % v for v in values.tolist()], dtype=f"S{cli._WIDTH}")
+    got = np.zeros((values.size, cli._WIDTH), dtype=np.uint8)
+    got[:, :chars.shape[1]] = chars
+    assert np.array_equal(got, want.view(np.uint8).reshape(values.size, cli._WIDTH))
+    assert lengths.tolist() == [len(w) for w in want.tolist()]
+
+
+def test_powers_of_ten_are_rounded_once_to_long_double():
+    # the margin assumes each 10^(16-k) within half a unit in the last
+    # place of long double, for every decade k of a nonzero double
+    keys = np.arange(cli._K_MAX - cli._K_MIN + 1)
+    digits = np.finfo(np.longdouble).nmant + 1
+    for key, power in zip(keys.tolist(), cli._powers_of_ten(keys)):
+        mantissa, exp = np.frexp(power)
+        got = fractions.Fraction(int(np.ldexp(mantissa, digits))) * fractions.Fraction(2) ** (
+            int(exp) - digits)
+        unit = fractions.Fraction(2) ** (int(exp) - digits)
+        assert abs(got - fractions.Fraction(10) ** (key + 16 - cli._K_MAX)) < unit / 2, key
+
+
+def test_table_writer_without_long_double_digits_writes_reference_bytes():
+    # A margin past 1/2 sends every value to FMT, as on platforms whose
+    # long double is double; the tables must not change.
+    calls = []
+    text_bytes = cli._text_bytes
+
+    def counted(fmt, values):
+        calls.append((fmt, values.size))
+        return text_bytes(fmt, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_MARGIN", 1.0)
+        patch.setattr(cli, "_text_bytes", counted)
+        test_emit_table_writes_reference_bytes()
+        values = _edge_floats()
+        calls.clear()
+        _assert_writes_like_percent_g(values)
+        assert sum(n for fmt, n in calls if fmt == cli.FMT) == np.count_nonzero(values)
+        argv = ["evolve", "--points", "1024", "--t-samples", "20", "--k0", "0.7",
+                "--x0", "-0.5", "--t-start", "-1", "--t-stop", "2"]
+        code, text = _run(argv)
+    assert code == 0
+    times = np.linspace(-1.0, 2.0, 20)
+    xs = np.linspace(-12.0, 12.0, 1024)
     packet = wavepacket.WavePacket(m0=1.0, sigma=1.0, x0=-0.5, k0=0.7)
     psi = np.concatenate([wavepacket.evaluate(packet, xs, float(t)) for t in times])
     rows = [(float(t), float(x), p.real, p.imag, d) for (t, x), p, d in zip(

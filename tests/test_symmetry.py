@@ -443,6 +443,21 @@ def test_arrangements_are_kept_read_only_per_pattern():
     assert np.array_equal(sym._arrangements((2, 1, 1)), table)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_odd_reads_memoized_slot_pairs(n):
+    # the slot pairs, built once per n, read-only, as itertools lists them
+    pairs = sym._slot_pairs(n)
+    assert sym._slot_pairs(n) is pairs and not pairs.flags.writeable
+    assert pairs.dtype == np.intp and pairs.shape == (2, n * (n - 1) // 2)
+    assert [tuple(p) for p in pairs.T.tolist()] == list(itertools.combinations(range(n), 2))
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 1
+    # _odd is the parity of each row's sorting permutation, repeats too
+    rows = np.random.default_rng(n).integers(0, max(1, n - 1), size=(50, n))
+    assert sym._odd(rows).tolist() == [
+        sym.permutation_parity(np.argsort(r, kind="stable")) == -1 for r in rows]
+
+
 # Orbits of one pattern and of several: five orbits of runs (1, 1, 2, 1),
 # two of (1, 1, 1, 1, 1) and one of (2, 3), some entered as several
 # rearrangements, so one table serves several members (the offset path)
